@@ -14,14 +14,18 @@
 //
 // Stop it with {"op":"shutdown"} (e.g. via twig_client --op=shutdown).
 
+#include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,17 +120,47 @@ constexpr char kUsage[] =
     "                   0 = unlimited; burst and weight optional,\n"
     "                   defaults 8 and 1)\n";
 
+/// Reads the whole of `path` into one string sized from the file, so
+/// the document is held once while it is parsed. Fails with the reason
+/// on a directory or other non-regular file, an unreadable file, or a
+/// file that ends before its stat size.
+Result<std::string> ReadWholeFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::Unavailable(std::strerror(errno));
+  auto fail = [fd](std::string reason) {
+    ::close(fd);
+    return Status::Unavailable(std::move(reason));
+  };
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return fail(std::strerror(errno));
+  if (S_ISDIR(st.st_mode)) return fail(std::strerror(EISDIR));
+  if (!S_ISREG(st.st_mode)) return fail("not a regular file");
+  std::string text(static_cast<size_t>(st.st_size), '\0');
+  size_t got = 0;
+  while (got < text.size()) {
+    const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return fail(std::strerror(errno));
+    if (n == 0) {
+      return fail("short read: " + std::to_string(got) + " of " +
+                  std::to_string(text.size()) + " bytes");
+    }
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  return text;
+}
+
 tree::Tree LoadOrGenerate(const Options& options) {
   if (!options.xml_path.empty()) {
-    std::ifstream in(options.xml_path);
-    if (!in) {
-      std::fprintf(stderr, "twig_serve: cannot open %s\n",
-                   options.xml_path.c_str());
+    Result<std::string> text = ReadWholeFile(options.xml_path);
+    if (!text.ok()) {
+      std::fprintf(stderr, "twig_serve: cannot read %s: %s\n",
+                   options.xml_path.c_str(),
+                   text.status().message().c_str());
       std::exit(1);
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    auto parsed = xml::ParseXml(buf.str());
+    auto parsed = xml::ParseXml(text.value());
     if (!parsed.ok()) {
       std::fprintf(stderr, "twig_serve: parse error in %s: %s\n",
                    options.xml_path.c_str(),

@@ -1,8 +1,12 @@
 #include "cst/cst.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <map>
+#include <thread>
+
+#include "util/thread_pool.h"
 
 namespace twig::cst {
 
@@ -107,75 +111,140 @@ Cst Cst::Build(const Tree& data, const PathSuffixTree& pst,
   return cst;
 }
 
+namespace {
+
+constexpr uint32_t kNoSignature = 0xffffffffu;
+
+/// One worker's share of the count pass. C_p and C_o are integers, so
+/// the partials sum exactly, in any order.
+struct CountPartial {
+  std::vector<uint64_t> cp;
+  std::vector<uint64_t> co;
+  /// Last walk root that counted toward a node's C_p. A walk never
+  /// leaves its worker, so a per-worker marker dedups exactly.
+  std::vector<NodeId> last_root;
+  /// The walk root's L component hashes, reused across roots.
+  std::vector<uint32_t> hashes;
+};
+
+}  // namespace
+
 void Cst::AccumulateCounts(const Tree& data,
                            const sethash::SetHashFamily& family) {
-  // Dedup marker: last data root that contributed to a node's C_p.
-  std::vector<NodeId> last_root(nodes_.size(), tree::kNullNode);
-  std::vector<uint32_t> element_hashes;  // reused per root walk
+  const size_t length = family.length();
+  const size_t block_count =
+      (data.size() + kCountBlockRoots - 1) / kCountBlockRoots;
+  const size_t worker_count = std::min<size_t>(
+      block_count, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<CountPartial> partials(worker_count);
+  for (CountPartial& p : partials) {
+    p.cp.assign(nodes_.size(), 0);
+    p.co.assign(nodes_.size(), 0);
+    p.last_root.assign(nodes_.size(), tree::kNullNode);
+    p.hashes.resize(length);
+  }
 
-  // Visits a CST node during the walk rooted at data node `walk_root`.
-  auto visit = [&](CstNodeId c, NodeId walk_root) {
-    Node& node = nodes_[c];
-    node.co += 1;
-    if (last_root[c] != walk_root) {
-      last_root[c] = walk_root;
-      node.cp += 1;
-      if (node.signature_index != 0xffffffffu) {
-        sethash::MergeElement(signatures_[node.signature_index],
-                              element_hashes);
-      }
-    }
-  };
+  // Counts walk roots [block * kCountBlockRoots, ...) into `worker`'s
+  // partial. Walks read nodes_ and child_index_ and write only the
+  // partial and, through atomic min, the signatures.
+  auto count_block = [&](size_t block, size_t worker) {
+    CountPartial& p = partials[worker];
 
-  // Extends a walk over the (capped) prefix of a value string.
-  auto walk_value_prefix = [&](CstNodeId c, std::string_view value,
-                               NodeId walk_root) {
-    const size_t take = std::min(value.size(), max_value_chars_);
-    for (size_t i = 0; i < take; ++i) {
-      c = Step(c, CharSymbol(value[i]));
-      if (c == kNoCstNode) return;
-      visit(c, walk_root);
-    }
-  };
-
-  // Recursive walk matching the CST against the subtree below `m`,
-  // all within the walk rooted at data node `walk_root`.
-  auto walk = [&](auto&& self, NodeId m, CstNodeId c, NodeId walk_root) -> void {
-    visit(c, walk_root);
-    for (NodeId ch : data.Children(m)) {
-      if (data.IsValue(ch)) {
-        walk_value_prefix(c, data.Value(ch), walk_root);
-      } else {
-        CstNodeId next = Step(c, TagSymbol(data.Label(ch)));
-        if (next != kNoCstNode) self(self, ch, next, walk_root);
-      }
-    }
-  };
-
-  for (NodeId n = 0; n < data.size(); ++n) {
-    if (data.IsValue(n)) {
-      // Character-only subpaths: every (value node, offset) is a root.
-      // Each (start, depth) visit is a distinct instance, so C_p and
-      // C_o increment unconditionally (no markers needed).
-      const std::string_view value = data.Value(n);
-      const size_t take = std::min(value.size(), max_value_chars_);
-      for (size_t start = 0; start < take; ++start) {
-        CstNodeId c = root();
-        for (size_t i = start; i < take; ++i) {
-          c = Step(c, CharSymbol(value[i]));
-          if (c == kNoCstNode) break;
-          Node& node = nodes_[c];
-          node.cp += 1;
-          node.co += 1;
+    // Visits a CST node during the walk rooted at data node `walk_root`.
+    auto visit = [&](CstNodeId c, NodeId walk_root) {
+      ++p.co[c];
+      if (p.last_root[c] == walk_root) return;
+      p.last_root[c] = walk_root;
+      ++p.cp[c];
+      const uint32_t index = nodes_[c].signature_index;
+      if (index == kNoSignature) return;
+      // Workers fold into the shared signatures by atomic min, which
+      // reaches the same minima in any order. Once a component has
+      // settled, the relaxed load alone turns almost every hash away.
+      uint32_t* sig = signatures_[index].data();
+      for (size_t i = 0; i < length; ++i) {
+        std::atomic_ref<uint32_t> component(sig[i]);
+        uint32_t seen = component.load(std::memory_order_relaxed);
+        while (p.hashes[i] < seen &&
+               !component.compare_exchange_weak(seen, p.hashes[i],
+                                                std::memory_order_relaxed)) {
         }
       }
-      continue;
+    };
+
+    // Extends a walk over the (capped) prefix of a value string.
+    auto walk_value_prefix = [&](CstNodeId c, std::string_view value,
+                                 NodeId walk_root) {
+      const size_t take = std::min(value.size(), max_value_chars_);
+      for (size_t i = 0; i < take; ++i) {
+        c = Step(c, CharSymbol(value[i]));
+        if (c == kNoCstNode) return;
+        visit(c, walk_root);
+      }
+    };
+
+    // Recursive walk matching the CST against the subtree below `m`,
+    // all within the walk rooted at data node `walk_root`.
+    auto walk = [&](auto&& self, NodeId m, CstNodeId c,
+                    NodeId walk_root) -> void {
+      visit(c, walk_root);
+      for (NodeId ch : data.Children(m)) {
+        if (data.IsValue(ch)) {
+          walk_value_prefix(c, data.Value(ch), walk_root);
+        } else {
+          CstNodeId next = Step(c, TagSymbol(data.Label(ch)));
+          if (next != kNoCstNode) self(self, ch, next, walk_root);
+        }
+      }
+    };
+
+    const NodeId first = static_cast<NodeId>(block * kCountBlockRoots);
+    const NodeId last = static_cast<NodeId>(
+        std::min(data.size(), (block + 1) * kCountBlockRoots));
+    for (NodeId n = first; n < last; ++n) {
+      if (data.IsValue(n)) {
+        // Character-only subpaths: every (value node, offset) is a
+        // root. Each (start, depth) visit is a distinct instance, so
+        // C_p and C_o increment unconditionally (no markers needed).
+        const std::string_view value = data.Value(n);
+        const size_t take = std::min(value.size(), max_value_chars_);
+        for (size_t start = 0; start < take; ++start) {
+          CstNodeId c = root();
+          for (size_t i = start; i < take; ++i) {
+            c = Step(c, CharSymbol(value[i]));
+            if (c == kNoCstNode) break;
+            ++p.cp[c];
+            ++p.co[c];
+          }
+        }
+        continue;
+      }
+      // Tag-rooted subpaths: one walk rooted at element node n.
+      CstNodeId c0 = Step(root(), TagSymbol(data.Label(n)));
+      if (c0 == kNoCstNode) continue;
+      for (size_t i = 0; i < length; ++i) p.hashes[i] = family.Hash(i, n);
+      walk(walk, n, c0, n);
     }
-    // Tag-rooted subpaths: one walk rooted at element node n.
-    CstNodeId c0 = Step(root(), TagSymbol(data.Label(n)));
-    if (c0 == kNoCstNode) continue;
-    element_hashes = family.HashAll(n);
-    walk(walk, n, c0, n);
+  };
+
+  if (worker_count == 1) {
+    for (size_t block = 0; block < block_count; ++block) {
+      count_block(block, 0);
+    }
+  } else {
+    util::ThreadPool pool(worker_count);
+    pool.ParallelFor(block_count, count_block);
+  }
+
+  for (CstNodeId c = 0; c < nodes_.size(); ++c) {
+    uint64_t cp = 0;
+    uint64_t co = 0;
+    for (const CountPartial& p : partials) {
+      cp += p.cp[c];
+      co += p.co[c];
+    }
+    nodes_[c].cp = static_cast<double>(cp);
+    nodes_[c].co = static_cast<double>(co);
   }
 }
 

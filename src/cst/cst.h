@@ -20,7 +20,8 @@
 // Construction runs in two stages so that experiment sweeps can share
 // work: PathSuffixTree::Build is done once per data set; Cst::Build
 // (threshold selection + counting + signatures) is done once per space
-// budget.
+// budget. Cst::Build's count pass runs on one thread per core; its
+// output does not depend on the thread count (DESIGN.md §17).
 
 #ifndef TWIG_CST_CST_H_
 #define TWIG_CST_CST_H_
@@ -73,6 +74,11 @@ class Cst final : public CstView {
   /// Builds a CST over `data` from its (stage-one) path suffix tree.
   static Cst Build(const tree::Tree& data, const suffix::PathSuffixTree& pst,
                    const CstOptions& options = {});
+
+  /// Data nodes per work item of Build's count pass: walk roots
+  /// [k * kCountBlockRoots, (k + 1) * kCountBlockRoots) form block k. A
+  /// tree of one block is counted on the calling thread.
+  static constexpr size_t kCountBlockRoots = 1024;
 
   // -- Navigation (CstView) ----------------------------------------------
 
@@ -194,7 +200,9 @@ class Cst final : public CstView {
                                      const CstOptions& options);
 
   /// Stage two: walk the data tree accumulating C_p / C_o / signatures
-  /// for the retained nodes.
+  /// for the retained nodes, blocks of walk roots spread over a thread
+  /// pool sized to the machine. Each worker counts into its own C_p /
+  /// C_o partials; signatures fold in place by atomic min.
   void AccumulateCounts(const tree::Tree& data,
                         const sethash::SetHashFamily& family);
 

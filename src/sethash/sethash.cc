@@ -9,18 +9,12 @@ namespace twig::sethash {
 
 SetHashFamily::SetHashFamily(size_t length, uint64_t seed) : length_(length) {
   assert(length > 0);
-  component_seeds_.resize(length);
+  component_keys_.resize(length);
   uint64_t x = seed;
   for (size_t i = 0; i < length; ++i) {
     x = Mix64(x + 0x9e3779b97f4a7c15ULL);
-    component_seeds_[i] = x;
+    component_keys_[i] = SeededHashKey(x);
   }
-}
-
-std::vector<uint32_t> SetHashFamily::HashAll(uint64_t element) const {
-  std::vector<uint32_t> out(length_);
-  for (size_t i = 0; i < length_; ++i) out[i] = Hash(i, element);
-  return out;
 }
 
 Signature SetHashFamily::SignatureOf(
@@ -32,13 +26,6 @@ Signature SetHashFamily::SignatureOf(
     }
   }
   return sig;
-}
-
-void MergeElement(Signature& sig, const std::vector<uint32_t>& hashes) {
-  assert(sig.size() == hashes.size());
-  for (size_t i = 0; i < sig.size(); ++i) {
-    sig[i] = std::min(sig[i], hashes[i]);
-  }
 }
 
 Signature UnionSignature(const std::vector<const Signature*>& sigs) {

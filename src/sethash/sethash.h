@@ -39,14 +39,11 @@ class SetHashFamily {
 
   size_t length() const { return length_; }
 
-  /// Hash of `element` under component function `i`.
+  /// Hash of `element` under component function `i`: the low 32 bits
+  /// of SeededHash64(seed_i, element), with seed_i's key precomputed.
   uint32_t Hash(size_t i, uint64_t element) const {
-    return static_cast<uint32_t>(SeededHash64(component_seeds_[i], element));
+    return static_cast<uint32_t>(Mix64(element + component_keys_[i]));
   }
-
-  /// All L component hashes of one element; reusable across many
-  /// signature accumulators when one data node roots many subpaths.
-  std::vector<uint32_t> HashAll(uint64_t element) const;
 
   /// A fresh empty signature of this family's length.
   Signature EmptySignature() const {
@@ -58,12 +55,9 @@ class SetHashFamily {
 
  private:
   size_t length_;
-  std::vector<uint64_t> component_seeds_;
+  /// SeededHashKey of each component's seed.
+  std::vector<uint64_t> component_keys_;
 };
-
-/// Folds one element's precomputed component hashes into `sig`
-/// (component-wise min). `hashes` must have the family length.
-void MergeElement(Signature& sig, const std::vector<uint32_t>& hashes);
 
 /// Component-wise minimum of k signatures: the signature of the union.
 Signature UnionSignature(const std::vector<const Signature*>& sigs);

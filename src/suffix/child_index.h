@@ -1,20 +1,20 @@
 // Flat, cache-friendly child adjacency for the path suffix tree and
 // the CST.
 //
-// Both trees previously resolved (node, symbol) -> child through one
-// global std::unordered_map keyed by a packed 64-bit (node, symbol)
-// pair. That map was the hot path of construction, LongestMatch, and
-// every estimation algorithm, and the 22-bit symbol pack could alias
-// keys for out-of-range symbols. The ChildIndex replaces it with the
-// layout the tree-pattern-matching literature uses: one contiguous
-// backing array of (symbol, child) entries, grouped per parent node,
-// each group sorted by symbol and binary-searched on lookup. Lookups
-// touch one offsets slot and one short sorted span — two cache lines
-// for typical fan-outs — and symbols are compared at full 32-bit
-// width, so no symbol value can alias another node's entries.
+// (node, symbol) -> child is the hot lookup of LongestMatch and every
+// estimation algorithm. The ChildIndex answers it with the layout the
+// tree-pattern-matching literature uses: one contiguous backing array
+// of (symbol, child) entries, grouped per parent node, each group
+// sorted by symbol and binary-searched on lookup. Lookups touch one
+// offsets slot and one short sorted span — two cache lines for typical
+// fan-outs — and symbols are compared at full 32-bit width, so no
+// symbol value can alias another node's entries.
 //
 // The index is immutable: it is built once, after all nodes exist,
-// from the nodes' (parent, symbol) fields.
+// from the nodes' (parent, symbol) fields. While the path suffix tree
+// is still growing, PathSuffixTree::Build resolves children through
+// its own open-addressing build table instead (path_suffix_tree.cc),
+// then builds this index and drops the table.
 
 #ifndef TWIG_SUFFIX_CHILD_INDEX_H_
 #define TWIG_SUFFIX_CHILD_INDEX_H_

@@ -10,12 +10,19 @@
 // combination step relies on. Presence / occurrence counts and set-hash
 // signatures are attached later, by Cst::Build, only for the retained
 // nodes.
+//
+// Build inserts every suffix of every root-to-leaf path symbol by
+// symbol, so construction is one (node, symbol) -> child lookup per
+// symbol visited (11.8M lookups into 314k nodes for 8 MB of DBLP).
+// While the trie grows, those lookups go through an open-addressing
+// table of child IDs that confirms each hit against the candidate
+// node's own parent and symbol at full width; the immutable ChildIndex
+// that serves every later lookup is built once at the end.
 
 #ifndef TWIG_SUFFIX_PATH_SUFFIX_TREE_H_
 #define TWIG_SUFFIX_PATH_SUFFIX_TREE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "suffix/child_index.h"
@@ -93,18 +100,14 @@ class PathSuffixTree {
     bool starts_with_tag = false;
   };
 
-  /// Construction-time child lookup: a full-width (node, symbol) pack,
-  /// so no symbol value can alias another node's key. Dropped once the
-  /// flat index is built.
-  using BuildMap = std::unordered_map<uint64_t, PstNodeId>;
-  static uint64_t BuildKey(PstNodeId node, Symbol symbol) {
-    return (static_cast<uint64_t>(node) << 32) | symbol;
-  }
+  /// Construction-time child lookup (defined in the .cc file); dropped
+  /// once the flat index is built.
+  class BuildTable;
 
   /// Inserts all suffixes of one root-to-leaf path given as symbols.
   void InsertPathSuffixes(const std::vector<Symbol>& symbols,
                           uint32_t path_id, size_t max_nodes,
-                          BuildMap& build_map);
+                          BuildTable& table);
 
   std::vector<Node> nodes_;
   ChildIndex child_index_;

@@ -22,10 +22,17 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The key SeededHash64 derives from `seed`. Callers hashing many
+/// values under one seed compute it once: SeededHash64(seed, v) ==
+/// Mix64(v + SeededHashKey(seed)).
+inline uint64_t SeededHashKey(uint64_t seed) {
+  return Mix64(seed + 0x2545f4914f6cdd1dULL);
+}
+
 /// Hashes `value` under the hash function identified by `seed`.
 /// Different seeds give (empirically) independent hash functions.
 inline uint64_t SeededHash64(uint64_t seed, uint64_t value) {
-  return Mix64(value + Mix64(seed + 0x2545f4914f6cdd1dULL));
+  return Mix64(value + SeededHashKey(seed));
 }
 
 /// FNV-1a over bytes; stable across platforms. Used for interning and

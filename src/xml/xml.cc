@@ -296,12 +296,30 @@ class Parser {
   size_t pos_ = 0;
 };
 
+/// The entity EscapeXml writes for `c`, or "" when `c` stands as is.
+std::string_view EntityFor(char c) {
+  switch (c) {
+    case '&':
+      return "&amp;";
+    case '<':
+      return "&lt;";
+    case '>':
+      return "&gt;";
+    case '"':
+      return "&quot;";
+    case '\'':
+      return "&apos;";
+    default:
+      return {};
+  }
+}
+
 /// Shared serialization walker for WriteXml and XmlByteSize.
 template <typename Sink>
 void Serialize(const Tree& tree, NodeId n, int depth, bool pretty,
                Sink& sink) {
   if (tree.IsValue(n)) {
-    sink.Text(EscapeXml(tree.Value(n)));
+    sink.Escaped(tree.Value(n));
     return;
   }
   std::string_view tag = tree.LabelName(n);
@@ -335,12 +353,29 @@ void Serialize(const Tree& tree, NodeId n, int depth, bool pretty,
 struct StringSink {
   std::string out;
   void Text(std::string_view s) { out.append(s); }
+  void Escaped(std::string_view s) {
+    for (char c : s) {
+      const std::string_view entity = EntityFor(c);
+      if (entity.empty()) {
+        out.push_back(c);
+      } else {
+        out.append(entity);
+      }
+    }
+  }
   void Indent(int depth) { out.append(static_cast<size_t>(depth) * 2, ' '); }
 };
 
+/// Counts bytes only: sizing a document allocates nothing.
 struct CountSink {
   size_t bytes = 0;
   void Text(std::string_view s) { bytes += s.size(); }
+  void Escaped(std::string_view s) {
+    for (char c : s) {
+      const size_t entity = EntityFor(c).size();
+      bytes += entity == 0 ? 1 : entity;
+    }
+  }
   void Indent(int depth) { bytes += static_cast<size_t>(depth) * 2; }
 };
 
@@ -367,30 +402,10 @@ size_t XmlByteSize(const tree::Tree& tree) {
 }
 
 std::string EscapeXml(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      case '\'':
-        out += "&apos;";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
+  StringSink sink;
+  sink.out.reserve(text.size());
+  sink.Escaped(text);
+  return std::move(sink.out);
 }
 
 }  // namespace twig::xml

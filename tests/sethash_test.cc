@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -34,11 +35,21 @@ TEST(SetHashFamilyTest, ComponentsAreIndependentFunctions) {
   EXPECT_NE(family.Hash(0, 42), family.Hash(1, 42));
 }
 
-TEST(SetHashFamilyTest, HashAllMatchesHash) {
+TEST(SetHashFamilyTest, HashIsSeededHash64OfDerivedSeeds) {
+  // Component i hashes with SeededHash64 under the seed chain
+  // x_0 = seed, x_{i+1} = Mix64(x_i + golden ratio). Stored signatures
+  // depend on these exact values, so precomputed keys must not move
+  // a single bit.
   SetHashFamily family(8, 1);
-  const auto all = family.HashAll(99);
-  ASSERT_EQ(all.size(), 8u);
-  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(all[i], family.Hash(i, 99));
+  uint64_t x = 1;
+  for (size_t i = 0; i < 8; ++i) {
+    x = Mix64(x + 0x9e3779b97f4a7c15ULL);
+    for (uint64_t element : {0ull, 99ull, 0xffffffffull, ~0ull}) {
+      EXPECT_EQ(family.Hash(i, element),
+                static_cast<uint32_t>(SeededHash64(x, element)))
+          << "component " << i << " element " << element;
+    }
+  }
 }
 
 TEST(SignatureTest, EmptySignatureIsAllMax) {
@@ -46,12 +57,13 @@ TEST(SignatureTest, EmptySignatureIsAllMax) {
   for (uint32_t c : family.EmptySignature()) EXPECT_EQ(c, kEmptyComponent);
 }
 
-TEST(SignatureTest, MergeElementTakesMinima) {
+TEST(SignatureTest, SignatureOfTakesComponentwiseMinima) {
   SetHashFamily family(16, 1);
-  Signature sig = family.EmptySignature();
-  MergeElement(sig, family.HashAll(1));
-  MergeElement(sig, family.HashAll(2));
-  EXPECT_EQ(sig, family.SignatureOf({1, 2}));
+  const Signature sig = family.SignatureOf({1, 2});
+  ASSERT_EQ(sig.size(), 16u);
+  for (size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(sig[i], std::min(family.Hash(i, 1), family.Hash(i, 2)));
+  }
 }
 
 TEST(SignatureTest, SignatureIsOrderIndependent) {

@@ -122,6 +122,24 @@ TEST(XmlWriteTest, ByteSizeMatchesCompactOutput) {
       ParseXml("<dblp><book><author>Suciu</author></book><book/></dblp>");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(XmlByteSize(*parsed), WriteXml(*parsed).size());
+
+  // XmlByteSize counts escapes without building them: every escapable
+  // character, empty values and childless elements must size exactly.
+  tree::Tree t;
+  NodeId r = t.AddRoot("r");
+  t.AddValue(r, "a<b>&\"'");
+  t.AddValue(r, "");
+  t.AddElement(r, "empty");
+  NodeId e = t.AddElement(r, "e");
+  t.AddValue(e, "&&''\"\"<<>>");
+  t.AddValue(t.AddElement(e, "v"), "");
+  t.AddValue(e, "plain");
+  EXPECT_EQ(XmlByteSize(t), WriteXml(t).size());
+
+  tree::Tree childless;
+  childless.AddRoot("only");
+  EXPECT_EQ(XmlByteSize(childless), WriteXml(childless).size());
+  EXPECT_EQ(XmlByteSize(tree::Tree()), 0u);
 }
 
 TEST(XmlWriteTest, PrettyPrintNests) {
