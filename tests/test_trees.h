@@ -3,8 +3,10 @@
 #ifndef TWIG_TESTS_TEST_TREES_H_
 #define TWIG_TESTS_TEST_TREES_H_
 
+#include <cstdint>
 #include <initializer_list>
 
+#include "data/generators.h"
 #include "tree/tree.h"
 
 namespace twig::testutil {
@@ -41,6 +43,14 @@ inline tree::Tree FigureTwoTree() {
   tree::NodeId f = t.AddElement(c, "f");
   t.AddElement(f, "g");
   return t;
+}
+
+/// A generated 256 KiB DBLP document (about 14.5k nodes).
+inline tree::Tree SmallDblp(uint64_t seed) {
+  data::DblpOptions options;
+  options.target_bytes = 256 * 1024;
+  options.seed = seed;
+  return data::GenerateDblp(options);
 }
 
 }  // namespace twig::testutil
