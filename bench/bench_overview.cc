@@ -17,21 +17,21 @@ using namespace twig;
 
 /// The paper's Figure 1 DBLP fragment: three books.
 tree::Tree FigureOneTree() {
-  tree::Tree t;
-  tree::NodeId dblp = t.AddRoot("dblp");
+  tree::TreeBuilder b;
+  tree::NodeId dblp = b.AddRoot("dblp");
   auto add_book = [&](std::initializer_list<const char*> authors,
                       const char* title, const char* year) {
-    tree::NodeId book = t.AddElement(dblp, "book");
+    tree::NodeId book = b.AddElement(dblp, "book");
     for (const char* a : authors) {
-      t.AddValue(t.AddElement(book, "author"), a);
+      b.AddValue(b.AddElement(book, "author"), a);
     }
-    t.AddValue(t.AddElement(book, "title"), title);
-    t.AddValue(t.AddElement(book, "year"), year);
+    b.AddValue(b.AddElement(book, "title"), title);
+    b.AddValue(b.AddElement(book, "year"), year);
   };
   add_book({"A1"}, "T1", "Y1");
   add_book({"A1", "A2"}, "T2", "Y1");
   add_book({"A1", "A2", "A3"}, "T3", "Y1");
-  return t;
+  return std::move(b).Finish();
 }
 
 }  // namespace

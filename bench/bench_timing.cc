@@ -1,10 +1,12 @@
 // Section 6.5 timings, as google-benchmark micro-benchmarks:
-// construction (path suffix tree, CST at 1% space) and per-query
+// construction (XML parse, path suffix tree, CST at 1% space) and per-query
 // estimation latency for each algorithm. The paper reports < 10 min
 // construction for 50 MB / Pentium II and ~1 ms per estimate; on
 // modern hardware both should be far faster at our scaled size.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "core/estimator.h"
 #include "cst/cst.h"
@@ -54,6 +56,17 @@ const workload::Workload& SharedWorkload() {
   }();
   return wl;
 }
+
+void BM_ParseXml(benchmark::State& state) {
+  const std::string xml_text = xml::WriteXml(SharedData());
+  for (auto _ : state) {
+    auto parsed = xml::ParseXml(xml_text);
+    benchmark::DoNotOptimize(parsed.ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(xml_text.size()));
+}
+BENCHMARK(BM_ParseXml)->Unit(benchmark::kMillisecond);
 
 void BM_BuildPathSuffixTree(benchmark::State& state) {
   const tree::Tree& data = SharedData();

@@ -14,6 +14,7 @@ namespace {
 
 using tree::NodeId;
 using tree::Tree;
+using tree::TreeBuilder;
 
 /// Tree builder that tracks the approximate serialized XML size as it
 /// goes, so generators can stop at a byte target.
@@ -21,15 +22,15 @@ class SizedBuilder {
  public:
   NodeId Root(std::string_view tag) {
     bytes_ += 2 * tag.size() + 5;
-    return tree_.AddRoot(tag);
+    return builder_.AddRoot(tag);
   }
   NodeId Elem(NodeId parent, std::string_view tag) {
     bytes_ += 2 * tag.size() + 5;
-    return tree_.AddElement(parent, tag);
+    return builder_.AddElement(parent, tag);
   }
   void Value(NodeId parent, std::string_view value) {
     bytes_ += value.size();
-    tree_.AddValue(parent, value);
+    builder_.AddValue(parent, value);
   }
   /// Element with a single value child: <tag>value</tag>.
   void Field(NodeId parent, std::string_view tag, std::string_view value) {
@@ -37,10 +38,10 @@ class SizedBuilder {
   }
 
   size_t bytes() const { return bytes_; }
-  Tree Take() { return std::move(tree_); }
+  Tree Finish() && { return std::move(builder_).Finish(); }
 
  private:
-  Tree tree_;
+  TreeBuilder builder_;
   size_t bytes_ = 0;
 };
 
@@ -224,7 +225,7 @@ Tree GenerateDblp(const DblpOptions& options) {
       }
     }
   }
-  return b.Take();
+  return std::move(b).Finish();
 }
 
 Tree GenerateSwissProt(const SwissProtOptions& options) {
@@ -349,7 +350,7 @@ Tree GenerateSwissProt(const SwissProtOptions& options) {
     b.Value(sequence, seq);
     b.Field(entry, "length", std::to_string(seq_len));
   }
-  return b.Take();
+  return std::move(b).Finish();
 }
 
 }  // namespace twig::data

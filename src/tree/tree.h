@@ -5,12 +5,18 @@
 // labeled with arbitrary value strings. An XML document maps onto a
 // Tree with element tags and attribute names as non-leaf labels and
 // text / attribute values as leaf labels.
+//
+// A Tree is immutable. A TreeBuilder creates its nodes one at a time
+// and Finish() lays them out once in flat arrays (DESIGN.md §18): one
+// label per node, the value bytes concatenated behind n+1 offsets, and
+// the children in CSR form, so a node costs 16 bytes plus its value.
 
 #ifndef TWIG_TREE_TREE_H_
 #define TWIG_TREE_TREE_H_
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,7 +30,7 @@ namespace twig::tree {
 /// (preorder) order.
 using NodeId = uint32_t;
 
-/// Sentinel for "no node" (e.g., parent of the root).
+/// Sentinel for "no node" (e.g., the parent the root is added under).
 inline constexpr NodeId kNullNode = 0xffffffffu;
 
 /// A rooted node-labeled tree. Nodes are either *elements* (tag label,
@@ -39,27 +45,9 @@ class Tree {
   Tree(Tree&&) = default;
   Tree& operator=(Tree&&) = default;
 
-  /// Creates the root element. Must be the first node added.
-  NodeId AddRoot(std::string_view tag) {
-    assert(nodes_.empty());
-    return AddNode(kNullNode, labels_.Intern(tag), /*is_value=*/false, {});
-  }
-
-  /// Adds an element node under `parent`.
-  NodeId AddElement(NodeId parent, std::string_view tag) {
-    assert(parent != kNullNode);
-    return AddNode(parent, labels_.Intern(tag), /*is_value=*/false, {});
-  }
-
-  /// Adds a leaf value node under `parent`.
-  NodeId AddValue(NodeId parent, std::string_view value) {
-    assert(parent != kNullNode);
-    return AddNode(parent, kInvalidLabel, /*is_value=*/true, value);
-  }
-
   /// Number of nodes.
-  size_t size() const { return nodes_.size(); }
-  bool empty() const { return nodes_.empty(); }
+  size_t size() const { return node_labels_.size(); }
+  bool empty() const { return node_labels_.empty(); }
 
   /// The root node (node 0). Requires a non-empty tree.
   NodeId root() const {
@@ -68,12 +56,12 @@ class Tree {
   }
 
   /// True if `n` is a leaf *value* node (string-labeled).
-  bool IsValue(NodeId n) const { return nodes_[n].is_value; }
+  bool IsValue(NodeId n) const { return node_labels_[n] == kInvalidLabel; }
 
   /// Tag label of an element node.
   LabelId Label(NodeId n) const {
     assert(!IsValue(n));
-    return nodes_[n].label;
+    return node_labels_[n];
   }
 
   /// Tag string of an element node.
@@ -84,82 +72,78 @@ class Tree {
   /// String label of a value node.
   std::string_view Value(NodeId n) const {
     assert(IsValue(n));
-    const Node& node = nodes_[n];
-    return std::string_view(values_).substr(node.value_offset,
-                                            node.value_length);
+    return std::string_view(values_).substr(
+        value_offsets_[n], value_offsets_[n + 1] - value_offsets_[n]);
   }
 
-  NodeId Parent(NodeId n) const { return nodes_[n].parent; }
-
-  const std::vector<NodeId>& Children(NodeId n) const {
-    return nodes_[n].children;
-  }
-
-  /// Depth of `n`; the root has depth 0.
-  size_t Depth(NodeId n) const {
-    size_t d = 0;
-    while (nodes_[n].parent != kNullNode) {
-      n = nodes_[n].parent;
-      ++d;
-    }
-    return d;
+  /// The children of `n` in creation order (so in increasing ID order).
+  std::span<const NodeId> Children(NodeId n) const {
+    return {children_.data() + child_offsets_[n],
+            children_.data() + child_offsets_[n + 1]};
   }
 
   const LabelTable& labels() const { return labels_; }
-  LabelTable& mutable_labels() { return labels_; }
 
  private:
-  struct Node {
-    LabelId label = kInvalidLabel;  // tag, for element nodes
-    NodeId parent = kNullNode;
-    uint32_t value_offset = 0;  // into values_, for value nodes
-    uint32_t value_length = 0;
-    bool is_value = false;
-    std::vector<NodeId> children;
-  };
+  friend class TreeBuilder;
 
-  NodeId AddNode(NodeId parent, LabelId label, bool is_value,
-                 std::string_view value) {
-    NodeId id = static_cast<NodeId>(nodes_.size());
-    Node node;
-    node.label = label;
-    node.parent = parent;
-    node.is_value = is_value;
-    if (is_value) {
-      node.value_offset = static_cast<uint32_t>(values_.size());
-      node.value_length = static_cast<uint32_t>(value.size());
-      values_.append(value);
-    }
-    nodes_.push_back(std::move(node));
-    if (parent != kNullNode) {
-      assert(!nodes_[parent].is_value && "value nodes cannot have children");
-      nodes_[parent].children.push_back(id);
-    }
-    return id;
-  }
-
-  std::vector<Node> nodes_;
+  std::vector<LabelId> node_labels_;  // per node; kInvalidLabel = value
+  // value_offsets_[n]..value_offsets_[n+1] delimit node n's bytes in
+  // values_ (an empty range for elements); n+1 slots.
+  std::vector<uint32_t> value_offsets_;
   std::string values_;  // all value strings, concatenated
+  // child_offsets_[n]..child_offsets_[n+1] delimit node n's children
+  // in children_; n+1 slots.
+  std::vector<uint32_t> child_offsets_;
+  std::vector<NodeId> children_;
   LabelTable labels_;
 };
 
-/// Summary statistics of a tree, used in reports and for sizing the
-/// summary-structure space budget.
-struct TreeStats {
-  size_t node_count = 0;
-  size_t element_count = 0;
-  size_t value_count = 0;
-  size_t distinct_labels = 0;
-  size_t max_depth = 0;
-  size_t total_value_bytes = 0;
-  size_t total_label_bytes = 0;  // sum over element nodes of tag length
-  /// Approximate serialized (XML) size; the denominator for the paper's
-  /// "space as a percentage of the data set size".
-  size_t approx_xml_bytes = 0;
-};
+/// Creates a Tree's nodes in order, then freezes them into the Tree's
+/// flat layout once. A parent must exist before its children, so IDs
+/// are topological; the parsers and generators add nodes in preorder.
+class TreeBuilder {
+ public:
+  /// Creates the root element. Must be the first node added.
+  NodeId AddRoot(std::string_view tag) {
+    assert(parents_.empty());
+    return AddNode(kNullNode, tree_.labels_.Intern(tag), {});
+  }
 
-/// Computes TreeStats in one pass.
-TreeStats ComputeStats(const Tree& tree);
+  /// Adds an element node under `parent`, an element added earlier.
+  NodeId AddElement(NodeId parent, std::string_view tag) {
+    assert(IsElement(parent));
+    return AddNode(parent, tree_.labels_.Intern(tag), {});
+  }
+
+  /// Adds a leaf value node under `parent`, an element added earlier.
+  NodeId AddValue(NodeId parent, std::string_view value) {
+    assert(IsElement(parent));
+    return AddNode(parent, kInvalidLabel, value);
+  }
+
+  /// Number of nodes added so far.
+  size_t size() const { return parents_.size(); }
+
+  /// Lays the nodes out as a Tree: closes the value offsets, places the
+  /// children by one counting sort on parent, and drops the parents.
+  Tree Finish() &&;
+
+ private:
+  bool IsElement(NodeId n) const { return n < size() && !tree_.IsValue(n); }
+
+  NodeId AddNode(NodeId parent, LabelId label, std::string_view value) {
+    const NodeId id = static_cast<NodeId>(parents_.size());
+    parents_.push_back(parent);
+    tree_.node_labels_.push_back(label);
+    tree_.value_offsets_.push_back(static_cast<uint32_t>(tree_.values_.size()));
+    tree_.values_.append(value);
+    return id;
+  }
+
+  Tree tree_;  // labels, value offsets and bytes grow here in place
+  std::vector<NodeId> parents_;
+};
 
 }  // namespace twig::tree
 

@@ -1,8 +1,9 @@
 #include "xml/xml.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace twig::xml {
 
@@ -11,6 +12,30 @@ namespace {
 using tree::kNullNode;
 using tree::NodeId;
 using tree::Tree;
+using tree::TreeBuilder;
+
+/// True if `code` is a character XML 1.0's Char production allows.
+bool IsXmlChar(uint32_t code) {
+  return code == 0x9 || code == 0xA || code == 0xD ||
+         (code >= 0x20 && code <= 0xD7FF) ||
+         (code >= 0xE000 && code <= 0xFFFD) ||
+         (code >= 0x10000 && code <= 0x10FFFF);
+}
+
+/// Appends `code`, a code point IsXmlChar allows, as UTF-8: a lead
+/// byte, then 1-3 continuation bytes of 6 bits each.
+void AppendUtf8(uint32_t code, std::string* out) {
+  if (code < 0x80) {
+    out->push_back(static_cast<char>(code));
+    return;
+  }
+  static constexpr uint32_t kLead[] = {0, 0xC0, 0xE0, 0xF0};
+  const int tail = code < 0x800 ? 1 : code < 0x10000 ? 2 : 3;
+  out->push_back(static_cast<char>(kLead[tail] | (code >> (6 * tail))));
+  for (int shift = 6 * (tail - 1); shift >= 0; shift -= 6) {
+    out->push_back(static_cast<char>(0x80 | ((code >> shift) & 0x3F)));
+  }
+}
 
 /// Internal cursor over the document with error reporting.
 class Parser {
@@ -18,17 +43,16 @@ class Parser {
   Parser(std::string_view input, const XmlParseOptions& options)
       : input_(input), options_(options) {}
 
-  Result<Tree> Parse() {
+  Result<Tree> Parse() && {
     SkipProlog();
-    Tree tree;
-    Status s = ParseElement(&tree, kNullNode);
+    Status s = ParseElement(kNullNode);
     if (!s.ok()) return s;
     SkipMisc();
     if (!AtEnd()) {
       return Error("trailing content after document element");
     }
-    if (tree.empty()) return Status::ParseError("no document element");
-    return tree;
+    if (builder_.size() == 0) return Status::ParseError("no document element");
+    return std::move(builder_).Finish();
   }
 
  private:
@@ -38,8 +62,9 @@ class Parser {
     return input_.substr(pos_, s.size()) == s;
   }
 
-  Status Error(std::string msg) const {
-    return Status::ParseError(msg + " at byte " + std::to_string(pos_));
+  Status Error(std::string msg) const { return ErrorAt(std::move(msg), pos_); }
+  static Status ErrorAt(std::string msg, size_t pos) {
+    return Status::ParseError(msg + " at byte " + std::to_string(pos));
   }
 
   void SkipWhitespace() {
@@ -106,7 +131,8 @@ class Parser {
     return input_.substr(start, pos_ - start);
   }
 
-  /// Decodes entity and character references in `raw` into `out`.
+  /// Decodes entity and character references in `raw`, a view into the
+  /// input, into `out`.
   Status DecodeText(std::string_view raw, std::string* out) {
     for (size_t i = 0; i < raw.size();) {
       char c = raw[i];
@@ -115,9 +141,10 @@ class Parser {
         ++i;
         continue;
       }
+      const size_t at = static_cast<size_t>(raw.data() - input_.data()) + i;
       size_t semi = raw.find(';', i + 1);
       if (semi == std::string_view::npos) {
-        return Status::ParseError("unterminated entity reference");
+        return ErrorAt("unterminated entity reference", at);
       }
       std::string_view ent = raw.substr(i + 1, semi - i - 1);
       if (ent == "amp") {
@@ -131,23 +158,19 @@ class Parser {
       } else if (ent == "apos") {
         out->push_back('\'');
       } else if (!ent.empty() && ent[0] == '#') {
-        long code = 0;
-        if (ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X')) {
-          code = std::strtol(std::string(ent.substr(2)).c_str(), nullptr, 16);
-        } else {
-          code = std::strtol(std::string(ent.substr(1)).c_str(), nullptr, 10);
+        // A character reference: every byte after "#" or "#x" must be a
+        // digit of the base, naming a character XML allows.
+        const bool hex = ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X');
+        const std::string_view digits = ent.substr(hex ? 2 : 1);
+        uint32_t code = 0;
+        const auto [end, ec] = std::from_chars(
+            digits.data(), digits.data() + digits.size(), code, hex ? 16 : 10);
+        if (ec != std::errc() || end != digits.data() + digits.size() ||
+            !IsXmlChar(code)) {
+          return ErrorAt(
+              "invalid character reference &" + std::string(ent) + ";", at);
         }
-        // Encode as UTF-8 (covers the BMP; enough for data files).
-        if (code < 0x80) {
-          out->push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        }
+        AppendUtf8(code, out);
       } else {
         // Unknown entity: keep it verbatim so data is not lost.
         out->push_back('&');
@@ -160,7 +183,7 @@ class Parser {
   }
 
   /// Appends text content to `parent`, applying whitespace policy.
-  Status EmitText(Tree* tree, NodeId parent, std::string_view raw) {
+  Status EmitText(NodeId parent, std::string_view raw) {
     std::string decoded;
     Status s = DecodeText(raw, &decoded);
     if (!s.ok()) return s;
@@ -188,11 +211,11 @@ class Parser {
       }
       if (all_space) return Status::OK();
     }
-    if (!decoded.empty()) tree->AddValue(parent, decoded);
+    if (!decoded.empty()) builder_.AddValue(parent, decoded);
     return Status::OK();
   }
 
-  Status ParseAttributes(Tree* tree, NodeId element) {
+  Status ParseAttributes(NodeId element) {
     while (true) {
       SkipWhitespace();
       if (AtEnd()) return Error("unterminated start tag");
@@ -214,16 +237,16 @@ class Parser {
       std::string_view raw = input_.substr(start, pos_ - start);
       ++pos_;  // closing quote
       if (options_.attributes_as_children) {
-        NodeId attr = tree->AddElement(element, *name);
+        NodeId attr = builder_.AddElement(element, *name);
         std::string decoded;
         Status s = DecodeText(raw, &decoded);
         if (!s.ok()) return s;
-        if (!decoded.empty()) tree->AddValue(attr, decoded);
+        if (!decoded.empty()) builder_.AddValue(attr, decoded);
       }
     }
   }
 
-  Status ParseContent(Tree* tree, NodeId element) {
+  Status ParseContent(NodeId element) {
     size_t text_start = pos_;
     while (true) {
       if (AtEnd()) return Error("unterminated element content");
@@ -234,7 +257,7 @@ class Parser {
       // Flush pending text.
       if (pos_ > text_start) {
         Status s =
-            EmitText(tree, element, input_.substr(text_start, pos_ - text_start));
+            EmitText(element, input_.substr(text_start, pos_ - text_start));
         if (!s.ok()) return s;
       }
       if (Lookahead("</")) return Status::OK();  // caller consumes end tag
@@ -246,28 +269,28 @@ class Parser {
         size_t end = input_.find("]]>", pos_ + 9);
         if (end == std::string_view::npos) return Error("unterminated CDATA");
         std::string_view data = input_.substr(pos_ + 9, end - pos_ - 9);
-        if (!data.empty()) tree->AddValue(element, data);
+        if (!data.empty()) builder_.AddValue(element, data);
         pos_ = end + 3;
       } else if (Lookahead("<?")) {
         size_t end = input_.find("?>", pos_ + 2);
         if (end == std::string_view::npos) return Error("unterminated PI");
         pos_ = end + 2;
       } else {
-        Status s = ParseElement(tree, element);
+        Status s = ParseElement(element);
         if (!s.ok()) return s;
       }
       text_start = pos_;
     }
   }
 
-  Status ParseElement(Tree* tree, NodeId parent) {
+  Status ParseElement(NodeId parent) {
     if (AtEnd() || Peek() != '<') return Error("expected '<'");
     ++pos_;
     auto name = ParseName();
     if (!name.ok()) return name.status();
-    NodeId element = (parent == kNullNode) ? tree->AddRoot(*name)
-                                           : tree->AddElement(parent, *name);
-    Status s = ParseAttributes(tree, element);
+    NodeId element = (parent == kNullNode) ? builder_.AddRoot(*name)
+                                           : builder_.AddElement(parent, *name);
+    Status s = ParseAttributes(element);
     if (!s.ok()) return s;
     if (Lookahead("/>")) {
       pos_ += 2;
@@ -275,7 +298,7 @@ class Parser {
     }
     if (AtEnd() || Peek() != '>') return Error("expected '>'");
     ++pos_;
-    s = ParseContent(tree, element);
+    s = ParseContent(element);
     if (!s.ok()) return s;
     // Consume "</name>".
     pos_ += 2;
@@ -294,6 +317,7 @@ class Parser {
   std::string_view input_;
   const XmlParseOptions& options_;
   size_t pos_ = 0;
+  TreeBuilder builder_;
 };
 
 /// The entity EscapeXml writes for `c`, or "" when `c` stands as is.
@@ -326,7 +350,7 @@ void Serialize(const Tree& tree, NodeId n, int depth, bool pretty,
   if (pretty) sink.Indent(depth);
   sink.Text("<");
   sink.Text(tag);
-  const auto& children = tree.Children(n);
+  const auto children = tree.Children(n);
   if (children.empty()) {
     sink.Text("/>");
     if (pretty) sink.Text("\n");
@@ -383,8 +407,7 @@ struct CountSink {
 
 Result<tree::Tree> ParseXml(std::string_view input,
                             const XmlParseOptions& options) {
-  Parser parser(input, options);
-  return parser.Parse();
+  return Parser(input, options).Parse();
 }
 
 std::string WriteXml(const tree::Tree& tree, const XmlWriteOptions& options) {

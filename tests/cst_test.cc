@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cst/cst.h"
 #include "test_trees.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
+#include "xml/xml.h"
 
 namespace twig::cst {
 namespace {
@@ -180,15 +184,16 @@ void ExpectCountsMatchBruteForce(const Tree& data, const Cst& cst,
 /// The a/b/a/b chain, its walk root placed on the last ID of count
 /// block 0 so the walk runs on into block 1.
 Tree ChainAcrossBlockBoundary() {
-  Tree data;
-  const tree::NodeId root = data.AddRoot("r");
-  while (data.size() < Cst::kCountBlockRoots - 1) data.AddElement(root, "f");
-  auto a1 = data.AddElement(root, "a");
-  auto b1 = data.AddElement(a1, "b");
-  auto a2 = data.AddElement(b1, "a");
-  auto b2 = data.AddElement(a2, "b");
-  data.AddValue(b2, "x");
-  data.AddValue(b2, "y");
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("r");
+  while (b.size() < Cst::kCountBlockRoots - 1) b.AddElement(root, "f");
+  auto a1 = b.AddElement(root, "a");
+  auto b1 = b.AddElement(a1, "b");
+  auto a2 = b.AddElement(b1, "a");
+  auto b2 = b.AddElement(a2, "b");
+  b.AddValue(b2, "x");
+  b.AddValue(b2, "y");
+  Tree data = std::move(b).Finish();
   return data;
 }
 
@@ -232,6 +237,47 @@ TEST(CstCountPassTest, RepeatedBuildsSerializeIdentically) {
       EXPECT_TRUE(Cst::Build(data, pst, options).Serialize() == first)
           << "threshold " << threshold << " build " << i;
     }
+  }
+}
+
+/// Folds every node's symbol, parent, depth, C_p, C_o, tag flag and
+/// signature into one digest. It reads the public accessors, not a
+/// serialized format, so the formats can change under it.
+uint64_t SummaryDigest(const Cst& cst) {
+  uint64_t digest = Mix64(cst.node_count());
+  auto fold = [&digest](uint64_t v) { digest = Mix64(digest ^ v); };
+  for (CstNodeId n = 0; n < cst.node_count(); ++n) {
+    fold(cst.GetSymbol(n));
+    fold(cst.Parent(n));
+    fold(cst.Depth(n));
+    fold(std::bit_cast<uint64_t>(cst.PresenceCount(n)));
+    fold(std::bit_cast<uint64_t>(cst.OccurrenceCount(n)));
+    fold(cst.StartsWithTag(n));
+    const sethash::Signature* signature = cst.GetSignature(n);
+    fold(signature == nullptr ? 0 : signature->size());
+    if (signature == nullptr) continue;
+    for (uint32_t component : *signature) fold(component);
+  }
+  return digest;
+}
+
+TEST(CstTest, SummaryDigestIsPinned) {
+  // Construction work (the data tree's layout, the count pass) must
+  // leave the summary bit for bit as it is: any moved count, link or
+  // signature component moves a digest.
+  const Tree data = testutil::SmallDblp(1);
+  const auto pst = PathSuffixTree::Build(data);
+  const double xml_bytes = static_cast<double>(xml::XmlByteSize(data));
+  const std::pair<double, uint64_t> pinned[] = {
+      {0.01, 0x92561c0f0bb19187ULL},
+      {0.1, 0x10dfa28be293d675ULL},
+      {1.0, 0x1089925ab7cf5cb2ULL}};
+  for (const auto& [space, digest] : pinned) {
+    CstOptions options;
+    options.space_budget_bytes = static_cast<size_t>(space * xml_bytes);
+    const Cst cst = Cst::Build(data, pst, options);
+    EXPECT_EQ(SummaryDigest(cst), digest)
+        << "space " << space << ": 0x" << std::hex << SummaryDigest(cst);
   }
 }
 

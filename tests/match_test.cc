@@ -68,11 +68,12 @@ TEST(MatcherTest, SiblingInjectivity) {
 }
 
 TEST(MatcherTest, ValuePrefixSemantics) {
-  Tree data;
-  auto dblp = data.AddRoot("dblp");
-  auto book = data.AddElement(dblp, "book");
-  auto author = data.AddElement(book, "author");
-  data.AddValue(author, "Suciu");
+  tree::TreeBuilder b;
+  auto dblp = b.AddRoot("dblp");
+  auto book = b.AddElement(dblp, "book");
+  auto author = b.AddElement(book, "author");
+  b.AddValue(author, "Suciu");
+  Tree data = std::move(b).Finish();
   EXPECT_DOUBLE_EQ(Count(data, "author=\"Su\"").occurrence, 1.0);
   EXPECT_DOUBLE_EQ(Count(data, "author=\"Suciu\"").occurrence, 1.0);
   EXPECT_DOUBLE_EQ(Count(data, "author=\"uciu\"").occurrence, 0.0);
@@ -110,9 +111,10 @@ TEST(MatcherTest, WildcardMatchesAnyElement) {
 TEST(MatcherTest, MultisetPermanentBranching) {
   // A node with 4 identical-label children, query asks for 3:
   // occurrence = 4 * 3 * 2 = 24 injective ordered mappings.
-  Tree data;
-  auto root = data.AddRoot("r");
-  for (int i = 0; i < 4; ++i) data.AddElement(root, "c");
+  tree::TreeBuilder b;
+  auto root = b.AddRoot("r");
+  for (int i = 0; i < 4; ++i) b.AddElement(root, "c");
+  Tree data = std::move(b).Finish();
   TwigCounts counts = Count(data, "r(c, c, c)");
   EXPECT_DOUBLE_EQ(counts.presence, 1.0);
   EXPECT_DOUBLE_EQ(counts.occurrence, 24.0);
@@ -134,11 +136,12 @@ TEST(MatcherTest, FigureTwoPattern) {
 TEST(MatcherTest, DescendantEdgeBasics) {
   // a(x(b), b): a//b reaches the nested b through child x and the
   // direct b child.
-  Tree data;
-  auto a = data.AddRoot("a");
-  auto x = data.AddElement(a, "x");
-  data.AddElement(x, "b");
-  data.AddElement(a, "b");
+  tree::TreeBuilder b;
+  auto a = b.AddRoot("a");
+  auto x = b.AddElement(a, "x");
+  b.AddElement(x, "b");
+  b.AddElement(a, "b");
+  Tree data = std::move(b).Finish();
   EXPECT_DOUBLE_EQ(Count(data, "a//b").occurrence, 2.0);
   EXPECT_DOUBLE_EQ(Count(data, "a//b").presence, 1.0);
   // Child-edge semantics are untouched.
@@ -150,11 +153,12 @@ TEST(MatcherTest, DescendantEdgeBasics) {
 
 TEST(MatcherTest, DescendantEdgeSkipsLevels) {
   // a -> x -> y -> b: a//b finds b three levels down.
-  Tree data;
-  auto a = data.AddRoot("a");
-  auto x = data.AddElement(a, "x");
-  auto y = data.AddElement(x, "y");
-  data.AddElement(y, "b");
+  tree::TreeBuilder b;
+  auto a = b.AddRoot("a");
+  auto x = b.AddElement(a, "x");
+  auto y = b.AddElement(x, "y");
+  b.AddElement(y, "b");
+  Tree data = std::move(b).Finish();
   EXPECT_DOUBLE_EQ(Count(data, "a//b").occurrence, 1.0);
   EXPECT_DOUBLE_EQ(Count(data, "a.b").occurrence, 0.0);
   // Chained descendant edges compose.
@@ -166,18 +170,20 @@ TEST(MatcherTest, DescendantChildrenRouteThroughDistinctSubtrees) {
   // a(x(b), b): the two //b twig children must route through distinct
   // children of a — the nested b and the direct b, in both
   // assignments.
-  Tree data;
-  auto a = data.AddRoot("a");
-  auto x = data.AddElement(a, "x");
-  data.AddElement(x, "b");
-  data.AddElement(a, "b");
+  tree::TreeBuilder b;
+  auto a = b.AddRoot("a");
+  auto x = b.AddElement(a, "x");
+  b.AddElement(x, "b");
+  b.AddElement(a, "b");
+  Tree data = std::move(b).Finish();
   EXPECT_DOUBLE_EQ(Count(data, "a(//b, //b)").occurrence, 2.0);
   // Both b's under one child of a: no disjoint routing exists.
-  Tree nested;
-  auto r = nested.AddRoot("a");
-  auto mid = nested.AddElement(r, "x");
-  nested.AddElement(mid, "b");
-  nested.AddElement(mid, "b");
+  tree::TreeBuilder nested_b;
+  auto r = nested_b.AddRoot("a");
+  auto mid = nested_b.AddElement(r, "x");
+  nested_b.AddElement(mid, "b");
+  nested_b.AddElement(mid, "b");
+  Tree nested = std::move(nested_b).Finish();
   EXPECT_DOUBLE_EQ(Count(nested, "a(//b, //b)").occurrence, 0.0);
   EXPECT_DOUBLE_EQ(Count(nested, "x(//b, //b)").occurrence, 2.0);
 }
@@ -195,9 +201,10 @@ TEST(MatcherTest, DescendantMixesWithValuesAndWildcards) {
 // child and descendant edges alike.
 TEST(MatcherTest, DeepChainDoesNotOverflowStack) {
   constexpr int kDepth = 200000;
-  Tree data;
-  auto node = data.AddRoot("a");
-  for (int i = 1; i < kDepth; ++i) node = data.AddElement(node, "a");
+  tree::TreeBuilder b;
+  auto node = b.AddRoot("a");
+  for (int i = 1; i < kDepth; ++i) node = b.AddElement(node, "a");
+  Tree data = std::move(b).Finish();
   TwigCounts child = Count(data, "a.a");
   EXPECT_DOUBLE_EQ(child.presence, kDepth - 1);
   EXPECT_DOUBLE_EQ(child.occurrence, kDepth - 1);
@@ -211,9 +218,10 @@ TEST(MatcherTest, DeepChainDoesNotOverflowStack) {
 // builds hit shift UB (fan-out >= 64) or multi-GB allocations (~30).
 // It must be a structured error in every build mode.
 TEST(MatcherTest, FanOutBeyondDpWidthIsAnError) {
-  Tree data;
-  auto root = data.AddRoot("r");
-  for (int i = 0; i < 25; ++i) data.AddElement(root, "c");
+  tree::TreeBuilder b;
+  auto root = b.AddRoot("r");
+  for (int i = 0; i < 25; ++i) b.AddElement(root, "c");
+  Tree data = std::move(b).Finish();
   std::string wide = "r(c";
   for (int i = 1; i < 25; ++i) wide += ", c";
   wide += ")";
@@ -224,9 +232,10 @@ TEST(MatcherTest, FanOutBeyondDpWidthIsAnError) {
   EXPECT_EQ(counts.status().code(), StatusCode::kInvalidArgument);
   // At the limit the DP still runs (on a small tree so the 2^20-state
   // DP table is touched only briefly).
-  Tree narrow;
-  auto nroot = narrow.AddRoot("r");
-  for (int i = 0; i < 4; ++i) narrow.AddElement(nroot, "c");
+  tree::TreeBuilder narrow_b;
+  auto nroot = narrow_b.AddRoot("r");
+  for (int i = 0; i < 4; ++i) narrow_b.AddElement(nroot, "c");
+  Tree narrow = std::move(narrow_b).Finish();
   std::string at_limit = "r(c";
   for (size_t i = 1; i < kMaxTwigFanOut; ++i) at_limit += ", c";
   at_limit += ")";

@@ -155,12 +155,13 @@ TEST(ParseQueryTest, DedupesSharedPrefixPieces) {
 TEST(ParseQueryTest, PiecewiseSegmentsAtBranch) {
   // Deep branch: a.b.c(d, e) in a matching data tree; segments are
   // a.b.c, c.d, c.e (boundaries shared).
-  Tree data;
-  auto a = data.AddRoot("a");
-  auto b = data.AddElement(a, "b");
-  auto c = data.AddElement(b, "c");
-  data.AddElement(c, "d");
-  data.AddElement(c, "e");
+  tree::TreeBuilder builder;
+  auto a = builder.AddRoot("a");
+  auto b = builder.AddElement(a, "b");
+  auto c = builder.AddElement(b, "c");
+  builder.AddElement(c, "d");
+  builder.AddElement(c, "e");
+  Tree data = std::move(builder).Finish();
   Cst cst = BuildCst(data);
   auto twig = ParseTwig("a.b.c(d, e)");
   ASSERT_TRUE(twig.ok());

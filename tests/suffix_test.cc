@@ -58,11 +58,12 @@ TEST(PathSuffixTreeTest, ContainsTagSubpathsOfAllSuffixes) {
 
 TEST(PathSuffixTreeTest, ValueCharsOnlyReachableAsPrefixAfterTags) {
   // "author.Su" exists, "author.uciu" must not (paper Section 3.1).
-  Tree data;
-  auto dblp = data.AddRoot("dblp");
-  auto book = data.AddElement(dblp, "book");
-  auto author = data.AddElement(book, "author");
-  data.AddValue(author, "Suciu");
+  tree::TreeBuilder b;
+  auto dblp = b.AddRoot("dblp");
+  auto book = b.AddElement(dblp, "book");
+  auto author = b.AddElement(book, "author");
+  b.AddValue(author, "Suciu");
+  Tree data = std::move(b).Finish();
   auto pst = PathSuffixTree::Build(data);
   EXPECT_NE(Find(pst, data, "author:S"), kNoPstNode);
   EXPECT_NE(Find(pst, data, "author:Suciu"), kNoPstNode);
@@ -74,10 +75,11 @@ TEST(PathSuffixTreeTest, ValueCharsOnlyReachableAsPrefixAfterTags) {
 
 TEST(PathSuffixTreeTest, NoTagSplitMidName) {
   // "uthor.Suciu" must not exist: tags are atomic symbols.
-  Tree data;
-  auto dblp = data.AddRoot("dblp");
-  auto author = data.AddElement(dblp, "author");
-  data.AddValue(author, "Suciu");
+  tree::TreeBuilder b;
+  auto dblp = b.AddRoot("dblp");
+  auto author = b.AddElement(dblp, "author");
+  b.AddValue(author, "Suciu");
+  Tree data = std::move(b).Finish();
   auto pst = PathSuffixTree::Build(data);
   // There is no single-char 'u' path followed by tag-like content;
   // verify by checking that from the root, the only tag children are
@@ -102,11 +104,12 @@ TEST(PathSuffixTreeTest, PathCountsArePathsContainingSubpath) {
 
 TEST(PathSuffixTreeTest, RepeatedSubpathInOnePathCountedOnce) {
   // Path a.a.a.v: subpath "a" occurs three times but in one path.
-  Tree data;
-  auto a1 = data.AddRoot("a");
-  auto a2 = data.AddElement(a1, "a");
-  auto a3 = data.AddElement(a2, "a");
-  data.AddValue(a3, "v");
+  tree::TreeBuilder b;
+  auto a1 = b.AddRoot("a");
+  auto a2 = b.AddElement(a1, "a");
+  auto a3 = b.AddElement(a2, "a");
+  b.AddValue(a3, "v");
+  Tree data = std::move(b).Finish();
   auto pst = PathSuffixTree::Build(data);
   EXPECT_EQ(pst.PathCount(Find(pst, data, "a")), 1u);
   EXPECT_EQ(pst.PathCount(Find(pst, data, "a.a")), 1u);
@@ -134,18 +137,20 @@ TEST(PathSuffixTreeTest, StartsWithTagFlag) {
 }
 
 TEST(PathSuffixTreeTest, ChildlessElementIsALeafPath) {
-  Tree data;
-  auto a = data.AddRoot("a");
-  data.AddElement(a, "br");
+  tree::TreeBuilder b;
+  auto a = b.AddRoot("a");
+  b.AddElement(a, "br");
+  Tree data = std::move(b).Finish();
   auto pst = PathSuffixTree::Build(data);
   EXPECT_EQ(pst.total_paths(), 1u);
   EXPECT_NE(Find(pst, data, "a.br"), kNoPstNode);
 }
 
 TEST(PathSuffixTreeTest, ValueCharCapRespected) {
-  Tree data;
-  auto a = data.AddRoot("a");
-  data.AddValue(a, "abcdefghijklmnop");
+  tree::TreeBuilder b;
+  auto a = b.AddRoot("a");
+  b.AddValue(a, "abcdefghijklmnop");
+  Tree data = std::move(b).Finish();
   PathSuffixTreeOptions options;
   options.max_value_chars = 4;
   auto pst = PathSuffixTree::Build(data, options);
@@ -302,12 +307,13 @@ TEST(PathSuffixTreeOracleTest, MatchesMapReferenceOnFigureOneAndDblp) {
 TEST(PathSuffixTreeOracleTest, WideElementGrowsTheBuildTable) {
   // 70k distinct children of one element give the root and that
   // element 70k child edges each, so the build table doubles many times.
-  Tree data;
-  const tree::NodeId root = data.AddRoot("wide");
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("wide");
   for (int i = 0; i < 70000; ++i) {
-    const tree::NodeId child = data.AddElement(root, "c" + std::to_string(i));
-    if (i % 7 == 0) data.AddValue(child, "v" + std::to_string(i % 50));
+    const tree::NodeId child = b.AddElement(root, "c" + std::to_string(i));
+    if (i % 7 == 0) b.AddValue(child, "v" + std::to_string(i % 50));
   }
+  Tree data = std::move(b).Finish();
   ExpectMatchesReference(data);
   EXPECT_GE(PathSuffixTree::Build(data).node_count(), 140000u);
 }
@@ -315,13 +321,14 @@ TEST(PathSuffixTreeOracleTest, WideElementGrowsTheBuildTable) {
 TEST(PathSuffixTreeOracleTest, RepeatedCharactersAndValueCaps) {
   // Runs of one character make every suffix of a value a prefix of the
   // next longer one: many repeated (node, 'a') probes along one chain.
-  Tree data;
-  const tree::NodeId root = data.AddRoot("r");
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("r");
   for (const char* value : {"aaaaaaaa", "a", "aaaa", "", "aaaaaaaaaaaaaaaaaaaa",
                             "abababab", "aaaaaaab"}) {
-    data.AddValue(data.AddElement(root, "v"), value);
-    data.AddValue(root, value);
+    b.AddValue(b.AddElement(root, "v"), value);
+    b.AddValue(root, value);
   }
+  Tree data = std::move(b).Finish();
   for (size_t cap : {0, 1, 8, 16}) {
     PathSuffixTreeOptions options;
     options.max_value_chars = cap;

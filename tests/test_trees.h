@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <utility>
 
 #include "data/generators.h"
 #include "tree/tree.h"
@@ -14,35 +15,35 @@ namespace twig::testutil {
 /// The paper's Figure 1 DBLP fragment: three books with duplicate
 /// sibling author labels (the multiset case).
 inline tree::Tree FigureOneTree() {
-  tree::Tree t;
-  tree::NodeId dblp = t.AddRoot("dblp");
+  tree::TreeBuilder b;
+  tree::NodeId dblp = b.AddRoot("dblp");
   auto add_book = [&](std::initializer_list<const char*> authors,
                       const char* title, const char* year) {
-    tree::NodeId book = t.AddElement(dblp, "book");
+    tree::NodeId book = b.AddElement(dblp, "book");
     for (const char* a : authors) {
-      t.AddValue(t.AddElement(book, "author"), a);
+      b.AddValue(b.AddElement(book, "author"), a);
     }
-    t.AddValue(t.AddElement(book, "title"), title);
-    t.AddValue(t.AddElement(book, "year"), year);
+    b.AddValue(b.AddElement(book, "title"), title);
+    b.AddValue(b.AddElement(book, "year"), year);
   };
   add_book({"A1"}, "T1", "Y1");
   add_book({"A1", "A2"}, "T2", "Y1");
   add_book({"A1", "A2", "A3"}, "T3", "Y1");
-  return t;
+  return std::move(b).Finish();
 }
 
 /// The Figure 2(a) example pattern's data-side analogue: one tree
 /// containing paths a.b.c.d.e and a.b.c.f.g.
 inline tree::Tree FigureTwoTree() {
-  tree::Tree t;
-  tree::NodeId a = t.AddRoot("a");
-  tree::NodeId b = t.AddElement(a, "b");
-  tree::NodeId c = t.AddElement(b, "c");
-  tree::NodeId d = t.AddElement(c, "d");
-  t.AddElement(d, "e");
-  tree::NodeId f = t.AddElement(c, "f");
-  t.AddElement(f, "g");
-  return t;
+  tree::TreeBuilder builder;
+  tree::NodeId a = builder.AddRoot("a");
+  tree::NodeId b = builder.AddElement(a, "b");
+  tree::NodeId c = builder.AddElement(b, "c");
+  tree::NodeId d = builder.AddElement(c, "d");
+  builder.AddElement(d, "e");
+  tree::NodeId f = builder.AddElement(c, "f");
+  builder.AddElement(f, "g");
+  return std::move(builder).Finish();
 }
 
 /// A generated 256 KiB DBLP document (about 14.5k nodes).

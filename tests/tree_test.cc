@@ -1,93 +1,57 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "test_trees.h"
 #include "tree/tree.h"
 
 namespace twig::tree {
 namespace {
 
-Tree FigureOneTree() {
-  // The paper's Figure 1 DBLP fragment: three books.
-  Tree t;
-  NodeId dblp = t.AddRoot("dblp");
-  NodeId b1 = t.AddElement(dblp, "book");
-  NodeId a = t.AddElement(b1, "author");
-  t.AddValue(a, "A1");
-  NodeId ti = t.AddElement(b1, "title");
-  t.AddValue(ti, "T1");
-  NodeId y = t.AddElement(b1, "year");
-  t.AddValue(y, "Y1");
-
-  NodeId b2 = t.AddElement(dblp, "book");
-  NodeId a1 = t.AddElement(b2, "author");
-  t.AddValue(a1, "A1");
-  NodeId a2 = t.AddElement(b2, "author");
-  t.AddValue(a2, "A2");
-  NodeId t2 = t.AddElement(b2, "title");
-  t.AddValue(t2, "T2");
-  NodeId y2 = t.AddElement(b2, "year");
-  t.AddValue(y2, "Y1");
-
-  NodeId b3 = t.AddElement(dblp, "book");
-  for (const char* av : {"A1", "A2", "A3"}) {
-    NodeId an = t.AddElement(b3, "author");
-    t.AddValue(an, av);
-  }
-  NodeId t3 = t.AddElement(b3, "title");
-  t.AddValue(t3, "T3");
-  NodeId y3 = t.AddElement(b3, "year");
-  t.AddValue(y3, "Y1");
-  return t;
-}
-
 TEST(TreeTest, RootIsFirstNode) {
-  Tree t;
-  NodeId r = t.AddRoot("dblp");
+  TreeBuilder b;
+  NodeId r = b.AddRoot("dblp");
+  Tree t = std::move(b).Finish();
   EXPECT_EQ(r, t.root());
   EXPECT_EQ(t.LabelName(r), "dblp");
-  EXPECT_EQ(t.Parent(r), kNullNode);
 }
 
 TEST(TreeTest, ChildrenPreserveOrder) {
-  Tree t;
-  NodeId r = t.AddRoot("a");
-  NodeId c1 = t.AddElement(r, "b");
-  NodeId c2 = t.AddElement(r, "c");
+  TreeBuilder b;
+  NodeId r = b.AddRoot("a");
+  NodeId c1 = b.AddElement(r, "b");
+  NodeId c2 = b.AddElement(r, "c");
+  Tree t = std::move(b).Finish();
   ASSERT_EQ(t.Children(r).size(), 2u);
   EXPECT_EQ(t.Children(r)[0], c1);
   EXPECT_EQ(t.Children(r)[1], c2);
-  EXPECT_EQ(t.Parent(c1), r);
-  EXPECT_EQ(t.Parent(c2), r);
+  EXPECT_TRUE(t.Children(c1).empty());
 }
 
 TEST(TreeTest, ValueNodesCarryStrings) {
-  Tree t;
-  NodeId r = t.AddRoot("book");
-  NodeId v = t.AddValue(r, "Morgan Kaufmann");
+  TreeBuilder b;
+  NodeId r = b.AddRoot("book");
+  NodeId v = b.AddValue(r, "Morgan Kaufmann");
+  Tree t = std::move(b).Finish();
   EXPECT_TRUE(t.IsValue(v));
   EXPECT_FALSE(t.IsValue(r));
   EXPECT_EQ(t.Value(v), "Morgan Kaufmann");
 }
 
 TEST(TreeTest, MultipleValuesShareArena) {
-  Tree t;
-  NodeId r = t.AddRoot("r");
-  NodeId v1 = t.AddValue(r, "abc");
-  NodeId v2 = t.AddValue(r, "defg");
+  TreeBuilder b;
+  NodeId r = b.AddRoot("r");
+  NodeId v1 = b.AddValue(r, "abc");
+  NodeId v2 = b.AddValue(r, "defg");
+  Tree t = std::move(b).Finish();
   EXPECT_EQ(t.Value(v1), "abc");
   EXPECT_EQ(t.Value(v2), "defg");
 }
 
-TEST(TreeTest, DepthIsEdgesFromRoot) {
-  Tree t = FigureOneTree();
-  EXPECT_EQ(t.Depth(t.root()), 0u);
-  NodeId book = t.Children(t.root())[0];
-  EXPECT_EQ(t.Depth(book), 1u);
-  NodeId author = t.Children(book)[0];
-  EXPECT_EQ(t.Depth(author), 2u);
-}
-
 TEST(TreeTest, LabelsInterned) {
-  Tree t = FigureOneTree();
+  Tree t = testutil::FigureOneTree();
   NodeId b1 = t.Children(t.root())[0];
   NodeId b2 = t.Children(t.root())[1];
   EXPECT_EQ(t.Label(b1), t.Label(b2));
@@ -95,18 +59,70 @@ TEST(TreeTest, LabelsInterned) {
   EXPECT_EQ(t.labels().Find("nosuchtag"), kInvalidLabel);
 }
 
-TEST(TreeStatsTest, CountsFigureOne) {
-  Tree t = FigureOneTree();
-  TreeStats stats = ComputeStats(t);
-  // 1 dblp + 3 book + 6 author + 3 title + 3 year = 16 elements,
-  // and one value under each of the 12 field nodes.
-  EXPECT_EQ(stats.element_count, 16u);
-  EXPECT_EQ(stats.value_count, 12u);
-  EXPECT_EQ(stats.node_count, 28u);
-  EXPECT_EQ(stats.distinct_labels, 5u);
-  EXPECT_EQ(stats.max_depth, 3u);
-  EXPECT_EQ(stats.total_value_bytes, 24u);  // 12 two-char values
-  EXPECT_GT(stats.approx_xml_bytes, 0u);
+TEST(TreeBuilderTest, EmptyBuilderFinishesAsEmptyTree) {
+  const Tree t = TreeBuilder().Finish();
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.labels().size(), 0u);
+}
+
+TEST(TreeBuilderTest, RootOnlyTreeHasNoChildren) {
+  TreeBuilder b;
+  b.AddRoot("only");
+  const Tree t = std::move(b).Finish();
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_FALSE(t.IsValue(t.root()));
+  EXPECT_TRUE(t.Children(t.root()).empty());
+}
+
+TEST(TreeBuilderTest, LastNodeValueKeepsItsBytes) {
+  // The last value's end is the offset sentinel Finish appends.
+  TreeBuilder b;
+  const NodeId r = b.AddRoot("r");
+  b.AddValue(b.AddElement(r, "e"), "first");
+  const NodeId last = b.AddValue(r, "last bytes");
+  const Tree t = std::move(b).Finish();
+  ASSERT_EQ(last, t.size() - 1);
+  EXPECT_EQ(t.Value(last), "last bytes");
+  EXPECT_EQ(t.Value(2), "first");
+}
+
+TEST(TreeBuilderTest, WideElementKeepsChildOrder) {
+  // 70,000 children, every third with a value child of its own, so the
+  // root's child IDs are not contiguous.
+  TreeBuilder b;
+  const NodeId root = b.AddRoot("wide");
+  std::vector<NodeId> want;
+  for (int i = 0; i < 70000; ++i) {
+    const NodeId child = b.AddElement(root, "c");
+    want.push_back(child);
+    if (i % 3 == 0) b.AddValue(child, "v");
+  }
+  const Tree t = std::move(b).Finish();
+  const auto children = t.Children(root);
+  ASSERT_EQ(children.size(), want.size());
+  EXPECT_TRUE(std::equal(children.begin(), children.end(), want.begin()));
+  EXPECT_EQ(t.Children(want[0]).size(), 1u);
+  EXPECT_TRUE(t.Children(want[1]).empty());
+}
+
+TEST(TreeBuilderTest, ChildSpansHoldEveryNonRootNodeOnce) {
+  const Tree t = testutil::SmallDblp(1);
+  ASSERT_GT(t.size(), 10000u);
+  std::vector<int> seen(t.size(), 0);
+  for (NodeId n = 0; n < t.size(); ++n) {
+    const auto children = t.Children(n);
+    if (t.IsValue(n)) {
+      EXPECT_TRUE(children.empty()) << n;
+    }
+    for (size_t i = 0; i < children.size(); ++i) {
+      ASSERT_LT(children[i], t.size());
+      EXPECT_GT(children[i], i == 0 ? n : children[i - 1]) << n;
+      ++seen[children[i]];
+    }
+  }
+  EXPECT_EQ(seen[t.root()], 0);
+  for (NodeId n = 1; n < t.size(); ++n) ASSERT_EQ(seen[n], 1) << n;
 }
 
 TEST(LabelTableTest, InternIsIdempotent) {

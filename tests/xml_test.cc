@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "data/generators.h"
 #include "xml/xml.h"
 
 namespace twig::xml {
@@ -7,6 +11,7 @@ namespace {
 
 using tree::NodeId;
 using tree::Tree;
+using tree::TreeBuilder;
 
 TEST(XmlParseTest, SimpleElementTree) {
   auto result = ParseXml("<dblp><book><year>1993</year></book></dblp>");
@@ -47,10 +52,48 @@ TEST(XmlParseTest, EntityDecoding) {
             "a & b <c> \"d\" A");
 }
 
+/// The single value a one-element document parses to.
+std::string ParsedValue(std::string_view xml) {
+  auto result = ParseXml(xml);
+  if (!result.ok()) return "error: " + result.status().ToString();
+  return std::string(result->Value(result->Children(result->root())[0]));
+}
+
 TEST(XmlParseTest, NumericEntityUtf8) {
-  auto result = ParseXml("<t>&#xE9;</t>");  // é
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->Value(result->Children(result->root())[0]), "\xC3\xA9");
+  EXPECT_EQ(ParsedValue("<t>&#xE9;</t>"), "\xC3\xA9");  // é
+  EXPECT_EQ(ParsedValue("<t>&#x20AC;</t>"), "\xE2\x82\xAC");  // €
+  // U+1F600 lies above the BMP: four bytes, in hex and in decimal.
+  EXPECT_EQ(ParsedValue("<t>&#x1F600;</t>"), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(ParsedValue("<t>&#128512;</t>"), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(ParsedValue("<t>&#x10FFFF;</t>"), "\xF4\x8F\xBF\xBF");
+}
+
+TEST(XmlParseTest, InvalidCharacterReferencesAreErrors) {
+  for (const char* ref : {
+           "&#;",          // no digits
+           "&#x;",         // no hex digits
+           "&#0;",         // NUL is not an XML character
+           "&#x1F;",       // nor is a C0 control other than tab, LF, CR
+           "&#xD800;",     // nor a surrogate
+           "&#xFFFE;",     // nor U+FFFE
+           "&#-3;",        // a sign is not a digit
+           "&#x110000;",   // above U+10FFFF
+           "&#99999999999;",  // overflows 32 bits
+           "&#65ab;",      // trailing junk after the digits of 'A'
+           "&#x41g;",      // and after its hex digits
+       }) {
+    const std::string xml = std::string("<t>") + ref + "</t>";
+    auto result = ParseXml(xml);
+    ASSERT_FALSE(result.ok()) << ref;
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << ref;
+    // The offset names the reference's '&'.
+    EXPECT_NE(result.status().ToString().find("at byte 3"), std::string::npos)
+        << ref << ": " << result.status().ToString();
+  }
+  // Attribute values decode through the same path.
+  EXPECT_FALSE(ParseXml("<t a=\"&#0;\"/>").ok());
+  // Tab, LF and CR are allowed; whitespace normalization then applies.
+  EXPECT_EQ(ParsedValue("<t>a&#9;b</t>"), "a b");
 }
 
 TEST(XmlParseTest, SkipsCommentsPrologAndPi) {
@@ -105,10 +148,29 @@ TEST(XmlWriteTest, RoundTrip) {
   EXPECT_EQ(WriteXml(*parsed), xml);
 }
 
+TEST(XmlWriteTest, GeneratedDocumentsRoundTrip) {
+  for (uint64_t seed : {1u, 2u}) {
+    data::DblpOptions options;
+    options.target_bytes = 256 * 1024;
+    options.seed = seed;
+    const std::string xml = WriteXml(data::GenerateDblp(options));
+    auto parsed = ParseXml(xml);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(WriteXml(*parsed) == xml) << "DBLP seed " << seed;
+  }
+  data::SwissProtOptions options;
+  options.target_bytes = 128 * 1024;
+  const std::string xml = WriteXml(data::GenerateSwissProt(options));
+  auto parsed = ParseXml(xml);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(WriteXml(*parsed) == xml) << "SwissProt";
+}
+
 TEST(XmlWriteTest, EscapesSpecialCharacters) {
-  tree::Tree t;
-  NodeId r = t.AddRoot("t");
-  t.AddValue(r, "a<b>&\"'");
+  TreeBuilder b;
+  NodeId r = b.AddRoot("t");
+  b.AddValue(r, "a<b>&\"'");
+  const Tree t = std::move(b).Finish();
   const std::string xml = WriteXml(t);
   EXPECT_EQ(xml, "<t>a&lt;b&gt;&amp;&quot;&apos;</t>");
   auto reparsed = ParseXml(xml);
@@ -125,19 +187,21 @@ TEST(XmlWriteTest, ByteSizeMatchesCompactOutput) {
 
   // XmlByteSize counts escapes without building them: every escapable
   // character, empty values and childless elements must size exactly.
-  tree::Tree t;
-  NodeId r = t.AddRoot("r");
-  t.AddValue(r, "a<b>&\"'");
-  t.AddValue(r, "");
-  t.AddElement(r, "empty");
-  NodeId e = t.AddElement(r, "e");
-  t.AddValue(e, "&&''\"\"<<>>");
-  t.AddValue(t.AddElement(e, "v"), "");
-  t.AddValue(e, "plain");
+  TreeBuilder b;
+  NodeId r = b.AddRoot("r");
+  b.AddValue(r, "a<b>&\"'");
+  b.AddValue(r, "");
+  b.AddElement(r, "empty");
+  NodeId e = b.AddElement(r, "e");
+  b.AddValue(e, "&&''\"\"<<>>");
+  b.AddValue(b.AddElement(e, "v"), "");
+  b.AddValue(e, "plain");
+  const Tree t = std::move(b).Finish();
   EXPECT_EQ(XmlByteSize(t), WriteXml(t).size());
 
-  tree::Tree childless;
-  childless.AddRoot("only");
+  TreeBuilder only;
+  only.AddRoot("only");
+  const Tree childless = std::move(only).Finish();
   EXPECT_EQ(XmlByteSize(childless), WriteXml(childless).size());
   EXPECT_EQ(XmlByteSize(tree::Tree()), 0u);
 }
