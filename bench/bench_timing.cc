@@ -77,7 +77,9 @@ void BM_BuildPathSuffixTree(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kDataBytes));
 }
-BENCHMARK(BM_BuildPathSuffixTree)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildPathSuffixTree)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_BuildCstAtOnePercent(benchmark::State& state) {
   const tree::Tree& data = SharedData();
@@ -91,7 +93,9 @@ void BM_BuildCstAtOnePercent(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kDataBytes));
 }
-BENCHMARK(BM_BuildCstAtOnePercent)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildCstAtOnePercent)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Estimate(benchmark::State& state) {
   const auto algorithm = static_cast<core::Algorithm>(state.range(0));

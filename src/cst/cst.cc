@@ -61,7 +61,7 @@ Cst Cst::Build(const Tree& data, const PathSuffixTree& pst,
                const CstOptions& options) {
   Cst cst;
   cst.signature_length_ = options.signature_length;
-  cst.max_value_chars_ = options.max_value_chars;
+  cst.max_value_chars_ = pst.max_value_chars();
   cst.data_node_count_ = data.size();
   cst.prune_threshold_ = options.space_budget_bytes > 0
                              ? ThresholdForBudget(pst, options)

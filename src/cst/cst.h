@@ -60,9 +60,6 @@ struct CstOptions {
   /// link, C_p, C_o) and bytes per signature component.
   size_t bytes_per_node = 16;
   size_t bytes_per_signature_component = 4;
-
-  /// Must match the PathSuffixTree the CST is built from.
-  size_t max_value_chars = 8;
 };
 
 /// The CST summary structure, fully materialized in memory.
@@ -71,7 +68,8 @@ struct CstOptions {
 /// (cst/view.h); `final` so calls through a concrete Cst devirtualize.
 class Cst final : public CstView {
  public:
-  /// Builds a CST over `data` from its (stage-one) path suffix tree.
+  /// Builds a CST over `data` from its (stage-one) path suffix tree,
+  /// counting the value prefix the tree indexes (pst.max_value_chars()).
   static Cst Build(const tree::Tree& data, const suffix::PathSuffixTree& pst,
                    const CstOptions& options = {});
 

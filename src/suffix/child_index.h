@@ -1,5 +1,4 @@
-// Flat, cache-friendly child adjacency for the path suffix tree and
-// the CST.
+// Flat, cache-friendly child adjacency for the CST.
 //
 // (node, symbol) -> child is the hot lookup of LongestMatch and every
 // estimation algorithm. The ChildIndex answers it with the layout the
@@ -11,10 +10,10 @@
 // symbol value can alias another node's entries.
 //
 // The index is immutable: it is built once, after all nodes exist,
-// from the nodes' (parent, symbol) fields. While the path suffix tree
-// is still growing, PathSuffixTree::Build resolves children through
-// its own open-addressing build table instead (path_suffix_tree.cc),
-// then builds this index and drops the table.
+// from the nodes' (parent, symbol) fields. It serves the CST only. The
+// path suffix tree resolves children through open-addressing build
+// tables while it grows (path_suffix_tree.cc) and keeps no child
+// lookup once built; Cst::Build indexes the nodes it retains.
 
 #ifndef TWIG_SUFFIX_CHILD_INDEX_H_
 #define TWIG_SUFFIX_CHILD_INDEX_H_

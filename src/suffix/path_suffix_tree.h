@@ -13,11 +13,12 @@
 //
 // Build inserts every suffix of every root-to-leaf path symbol by
 // symbol, so construction is one (node, symbol) -> child lookup per
-// symbol visited (11.8M lookups into 314k nodes for 8 MB of DBLP).
-// While the trie grows, those lookups go through an open-addressing
-// table of child IDs that confirms each hit against the candidate
-// node's own parent and symbol at full width; the immutable ChildIndex
-// that serves every later lookup is built once at the end.
+// symbol visited (11.8M lookups into 314k nodes for 8 MB of DBLP). The
+// suffixes are split by leading symbol into one part per hardware
+// thread. Each part grows its own trie, and a merge on creation stamps
+// renumbers the parts' nodes into the order one thread inserting every
+// suffix would create them (DESIGN.md §17). The finished tree keeps
+// only what Cst::Build reads; it has no child lookup.
 
 #ifndef TWIG_SUFFIX_PATH_SUFFIX_TREE_H_
 #define TWIG_SUFFIX_PATH_SUFFIX_TREE_H_
@@ -25,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "suffix/child_index.h"
 #include "suffix/symbol.h"
 #include "tree/tree.h"
 
@@ -44,30 +44,21 @@ struct PathSuffixTreeOptions {
   /// queries use short (1-4 char) leaf predicates, so a modest cap
   /// loses nothing in practice.
   size_t max_value_chars = 8;
-  /// Safety valve: once this many trie nodes exist, insertion stops
-  /// creating new nodes (existing counts stay exact; subpaths first
-  /// seen afterwards are missed). 0 disables the cap.
-  size_t max_nodes = 0;
 };
 
-/// The unpruned (stage-one) path suffix tree over a data tree.
+/// The unpruned (stage-one) path suffix tree over a data tree. Node IDs
+/// are creation order of a serial build, so every parent's ID is below
+/// its children's.
 class PathSuffixTree {
  public:
-  /// Builds the tree over all root-to-leaf paths of `data`.
+  /// Builds the tree over all root-to-leaf paths of `data`, on one pool
+  /// thread per part (on the calling thread when there is one part).
   static PathSuffixTree Build(const tree::Tree& data,
                               const PathSuffixTreeOptions& options = {});
 
   size_t node_count() const { return nodes_.size(); }
 
   PstNodeId root() const { return 0; }
-
-  /// Child of `node` along `symbol`, or kNoPstNode. Out-of-range
-  /// symbols (> kMaxSymbol, including unknown-tag sentinels) never
-  /// match any child.
-  PstNodeId FindChild(PstNodeId node, Symbol symbol) const {
-    if (symbol > kMaxSymbol) return kNoPstNode;
-    return child_index_.Find(node, symbol);
-  }
 
   /// Path appearance count of the node's subpath.
   uint32_t PathCount(PstNodeId node) const { return nodes_[node].pt; }
@@ -76,7 +67,7 @@ class PathSuffixTree {
   /// rooted at a non-leaf data node). Only such subpaths carry set-hash
   /// signatures in the CST (paper footnote 3).
   bool StartsWithTag(PstNodeId node) const {
-    return nodes_[node].starts_with_tag;
+    return nodes_[node].starts_with_tag != 0;
   }
 
   Symbol GetSymbol(PstNodeId node) const { return nodes_[node].symbol; }
@@ -86,33 +77,23 @@ class PathSuffixTree {
   /// Total number of root-to-leaf paths inserted.
   uint32_t total_paths() const { return total_paths_; }
 
-  /// True if the node cap was hit during construction (some infrequent
-  /// subpaths are missing and their pt is not represented).
-  bool truncated() const { return truncated_; }
+  /// Leading characters of each leaf value the tree indexes (the
+  /// options' cap). A CST built from this tree walks the same prefix.
+  size_t max_value_chars() const { return max_value_chars_; }
 
  private:
   struct Node {
     Symbol symbol = 0;
     PstNodeId parent = kNoPstNode;
-    uint32_t pt = 0;            // path appearance count
-    uint32_t last_path = 0xffffffffu;  // dedup marker during build
-    uint32_t depth = 0;
-    bool starts_with_tag = false;
+    uint32_t pt = 0;  // path appearance count
+    uint32_t depth : 31 = 0;
+    uint32_t starts_with_tag : 1 = 0;
   };
-
-  /// Construction-time child lookup (defined in the .cc file); dropped
-  /// once the flat index is built.
-  class BuildTable;
-
-  /// Inserts all suffixes of one root-to-leaf path given as symbols.
-  void InsertPathSuffixes(const std::vector<Symbol>& symbols,
-                          uint32_t path_id, size_t max_nodes,
-                          BuildTable& table);
+  static_assert(sizeof(Node) == 16);
 
   std::vector<Node> nodes_;
-  ChildIndex child_index_;
   uint32_t total_paths_ = 0;
-  bool truncated_ = false;
+  size_t max_value_chars_ = 0;
 };
 
 }  // namespace twig::suffix

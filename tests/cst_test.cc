@@ -148,7 +148,7 @@ std::map<std::vector<suffix::Symbol>, Tally> BruteForceTallies(
 /// brute-force recount, the signature being SignatureOf its rooting set.
 void ExpectCountsMatchBruteForce(const Tree& data, const Cst& cst,
                                  const CstOptions& options) {
-  const auto tallies = BruteForceTallies(data, options.max_value_chars);
+  const auto tallies = BruteForceTallies(data, cst.max_value_chars());
   const sethash::SetHashFamily family(options.signature_length,
                                       options.signature_seed);
   size_t mismatches = 0;

@@ -45,7 +45,7 @@ TEST(IntegrationTest, UnprunedCstIsExactOnSinglePaths) {
   wopt.num_queries = 40;
   wopt.seed = 5;
   // Keep predicates within the indexed value prefix.
-  wopt.max_value_chars = static_cast<int>(copt.max_value_chars);
+  wopt.max_value_chars = static_cast<int>(pst.max_value_chars());
   workload::Workload wl = workload::GenerateTrivial(data, wopt);
   ASSERT_EQ(wl.size(), 40u);
   for (const auto& wq : wl) {

@@ -56,10 +56,11 @@ TEST(ExpandQueryTest, UnknownTagGetsUnknownSymbol) {
 
 TEST(ExpandQueryTest, ValueCharsCapped) {
   Tree data = testutil::FigureOneTree();
-  auto pst = PathSuffixTree::Build(data);
-  CstOptions options;
+  suffix::PathSuffixTreeOptions options;
   options.max_value_chars = 2;
-  Cst cst = Cst::Build(data, pst, options);
+  auto pst = PathSuffixTree::Build(data, options);
+  Cst cst = Cst::Build(data, pst);
+  EXPECT_EQ(cst.max_value_chars(), 2u);
   auto twig = ParseTwig("author=\"A1234\"");
   ASSERT_TRUE(twig.ok());
   ExpandedQuery eq = ExpandQuery(*twig, cst);

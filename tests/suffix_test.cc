@@ -15,9 +15,19 @@ namespace {
 using tree::Tree;
 
 /// Walks the tree along a subpath written as dotted tags followed by
-/// optional value characters, e.g. "book.author:Su" or ":uciu".
+/// optional value characters, e.g. "book.author:Su" or ":uciu". Edges
+/// resolve through a (parent, symbol) map built from Parent and
+/// GetSymbol, since the tree itself has no child lookup.
 PstNodeId Find(const PathSuffixTree& pst, const Tree& data,
                const std::string& spec) {
+  std::map<std::pair<PstNodeId, Symbol>, PstNodeId> children;
+  for (PstNodeId n = 1; n < pst.node_count(); ++n) {
+    children.emplace(std::make_pair(pst.Parent(n), pst.GetSymbol(n)), n);
+  }
+  auto step = [&](PstNodeId node, Symbol symbol) {
+    const auto it = children.find(std::make_pair(node, symbol));
+    return it == children.end() ? kNoPstNode : it->second;
+  };
   const size_t colon = spec.find(':');
   const std::string tags = spec.substr(0, colon == std::string::npos
                                               ? spec.size()
@@ -32,7 +42,7 @@ PstNodeId Find(const PathSuffixTree& pst, const Tree& data,
                                                       : dot - start);
       tree::LabelId id = data.labels().Find(tag);
       if (id == tree::kInvalidLabel) return kNoPstNode;
-      node = pst.FindChild(node, TagSymbol(id));
+      node = step(node, TagSymbol(id));
       if (node == kNoPstNode) return kNoPstNode;
       if (dot == std::string::npos) break;
       start = dot + 1;
@@ -40,7 +50,7 @@ PstNodeId Find(const PathSuffixTree& pst, const Tree& data,
   }
   if (colon != std::string::npos) {
     for (char c : spec.substr(colon + 1)) {
-      node = pst.FindChild(node, CharSymbol(c));
+      node = step(node, CharSymbol(c));
       if (node == kNoPstNode) return kNoPstNode;
     }
   }
@@ -158,17 +168,6 @@ TEST(PathSuffixTreeTest, ValueCharCapRespected) {
   EXPECT_EQ(Find(pst, data, "a:abcde"), kNoPstNode);
 }
 
-TEST(PathSuffixTreeTest, MaxNodesCapTruncates) {
-  Tree data = testutil::FigureOneTree();
-  PathSuffixTreeOptions options;
-  options.max_nodes = 10;
-  auto pst = PathSuffixTree::Build(data, options);
-  EXPECT_LE(pst.node_count(), 10u);
-  EXPECT_TRUE(pst.truncated());
-  auto full = PathSuffixTree::Build(data);
-  EXPECT_FALSE(full.truncated());
-}
-
 TEST(PathSuffixTreeTest, DepthTracked) {
   Tree data = testutil::FigureOneTree();
   auto pst = PathSuffixTree::Build(data);
@@ -177,28 +176,9 @@ TEST(PathSuffixTreeTest, DepthTracked) {
   EXPECT_EQ(pst.Depth(Find(pst, data, "book.author:A1")), 4u);
 }
 
-TEST(PathSuffixTreeTest, OutOfRangeSymbolsNeverMatch) {
-  // Regression for the packed child-map key: symbol (1 << 22) | s on
-  // node n used to alias node n+1's edge along s.
-  Tree data = testutil::FigureOneTree();
-  auto pst = PathSuffixTree::Build(data);
-  std::vector<Symbol> in_range;
-  for (const char* tag : {"dblp", "book", "author", "year"}) {
-    const tree::LabelId id = data.labels().Find(tag);
-    ASSERT_NE(id, tree::kInvalidLabel) << tag;
-    in_range.push_back(TagSymbol(id));
-  }
-  for (char c : {'A', 'Y', '1'}) in_range.push_back(CharSymbol(c));
-  for (PstNodeId n = 0; n < static_cast<PstNodeId>(pst.node_count()); ++n) {
-    EXPECT_EQ(pst.FindChild(n, kMaxSymbol + 1), kNoPstNode);
-    for (Symbol s : in_range) {
-      EXPECT_EQ(pst.FindChild(n, s | (1u << 22)), kNoPstNode);
-    }
-  }
-}
-
-/// Oracle for PathSuffixTree::Build: the same insertion order, with
-/// child edges kept in a std::map keyed by the full (parent, symbol).
+/// Oracle for PathSuffixTree::Build: one thread inserting every suffix
+/// in document order, with child edges kept in a std::map keyed by the
+/// full (parent, symbol).
 struct ReferencePst {
   struct Node {
     Symbol symbol = 0;
@@ -211,7 +191,6 @@ struct ReferencePst {
   std::vector<Node> nodes{Node{}};
   std::map<std::pair<PstNodeId, Symbol>, PstNodeId> children;
   uint32_t total_paths = 0;
-  bool truncated = false;
 
   ReferencePst(const Tree& data, const PathSuffixTreeOptions& options) {
     std::vector<Symbol> symbols;
@@ -222,19 +201,19 @@ struct ReferencePst {
         for (size_t i = 0; i < take; ++i) {
           symbols.push_back(CharSymbol(value[i]));
         }
-        InsertSuffixes(symbols, options.max_nodes);
+        InsertSuffixes(symbols);
         symbols.resize(symbols.size() - take);
         return;
       }
       symbols.push_back(TagSymbol(data.Label(n)));
-      if (data.Children(n).empty()) InsertSuffixes(symbols, options.max_nodes);
+      if (data.Children(n).empty()) InsertSuffixes(symbols);
       for (tree::NodeId c : data.Children(n)) self(self, c);
       symbols.pop_back();
     };
     if (!data.empty()) dfs(dfs, data.root());
   }
 
-  void InsertSuffixes(const std::vector<Symbol>& symbols, size_t max_nodes) {
+  void InsertSuffixes(const std::vector<Symbol>& symbols) {
     const uint32_t path_id = total_paths++;
     for (size_t start = 0; start < symbols.size(); ++start) {
       PstNodeId node = 0;
@@ -242,10 +221,6 @@ struct ReferencePst {
         const auto key = std::make_pair(node, symbols[i]);
         auto it = children.find(key);
         if (it == children.end()) {
-          if (max_nodes != 0 && nodes.size() >= max_nodes) {
-            truncated = true;
-            break;
-          }
           Node fresh;
           fresh.symbol = symbols[i];
           fresh.parent = node;
@@ -269,16 +244,16 @@ struct ReferencePst {
 
 /// Builds with `options` and requires node-for-node equality with the
 /// map-keyed reference: same IDs, symbols, parents, depths, pt and
-/// starts_with_tag, and every reference edge found by FindChild.
+/// starts_with_tag. Equal parents and symbols for every node make every
+/// edge equal too.
 void ExpectMatchesReference(const Tree& data,
                             const PathSuffixTreeOptions& options = {}) {
-  SCOPED_TRACE("max_value_chars=" + std::to_string(options.max_value_chars) +
-               " max_nodes=" + std::to_string(options.max_nodes));
+  SCOPED_TRACE("max_value_chars=" + std::to_string(options.max_value_chars));
   const PathSuffixTree pst = PathSuffixTree::Build(data, options);
   const ReferencePst ref(data, options);
   ASSERT_EQ(pst.node_count(), ref.nodes.size());
   EXPECT_EQ(pst.total_paths(), ref.total_paths);
-  EXPECT_EQ(pst.truncated(), ref.truncated);
+  EXPECT_EQ(pst.max_value_chars(), options.max_value_chars);
   size_t mismatches = 0;
   for (PstNodeId n = 0; n < ref.nodes.size(); ++n) {
     const ReferencePst::Node& want = ref.nodes[n];
@@ -286,13 +261,6 @@ void ExpectMatchesReference(const Tree& data,
         pst.Depth(n) != want.depth || pst.PathCount(n) != want.pt ||
         pst.StartsWithTag(n) != want.starts_with_tag) {
       if (++mismatches <= 5) ADD_FAILURE() << "node " << n << " differs";
-    }
-  }
-  for (const auto& [edge, child] : ref.children) {
-    if (pst.FindChild(edge.first, edge.second) != child) {
-      if (++mismatches <= 10) {
-        ADD_FAILURE() << "edge " << edge.first << " -> " << child;
-      }
     }
   }
   EXPECT_EQ(mismatches, 0u);
@@ -337,13 +305,71 @@ TEST(PathSuffixTreeOracleTest, RepeatedCharactersAndValueCaps) {
   }
 }
 
-TEST(PathSuffixTreeOracleTest, NodeCapsTruncateIdentically) {
-  const Tree dblp = testutil::SmallDblp(1);
-  for (size_t cap : {1, 10, 1000}) {
+TEST(PathSuffixTreeOracleTest, EmptyDocumentAndOneElement) {
+  tree::TreeBuilder empty;
+  const Tree none = std::move(empty).Finish();
+  ExpectMatchesReference(none);
+  EXPECT_EQ(PathSuffixTree::Build(none).node_count(), 1u);
+
+  // <a/>: one path, one leading symbol, so one part.
+  tree::TreeBuilder b;
+  b.AddRoot("a");
+  const Tree single = std::move(b).Finish();
+  ExpectMatchesReference(single);
+  const PathSuffixTree pst = PathSuffixTree::Build(single);
+  EXPECT_EQ(pst.node_count(), 2u);
+  EXPECT_EQ(pst.total_paths(), 1u);
+}
+
+TEST(PathSuffixTreeOracleTest, FewerLeadingSymbolsThanThreads) {
+  // Only the tags a and b lead suffixes: at most two parts, whatever the
+  // machine's thread count.
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("a");
+  b.AddElement(root, "b");
+  b.AddElement(root, "b");
+  const tree::NodeId inner = b.AddElement(root, "a");
+  b.AddElement(b.AddElement(inner, "b"), "a");
+  ExpectMatchesReference(std::move(b).Finish());
+}
+
+TEST(PathSuffixTreeOracleTest, OneLeadingSymbolCarriesMostOfTheWork) {
+  // A 200-deep chain of a's ending in a value of a's: the tag a leads
+  // suffixes visiting over 20k symbols, every other leading symbol at
+  // most a few thousand.
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("a");
+  b.AddValue(b.AddElement(root, "b"), "xy");
+  b.AddValue(b.AddElement(root, "c"), "z");
+  tree::NodeId chain = root;
+  for (int depth = 1; depth < 200; ++depth) chain = b.AddElement(chain, "a");
+  b.AddValue(chain, std::string(300, 'a'));
+  const Tree data = std::move(b).Finish();
+  for (size_t cap : {8, 64}) {
     PathSuffixTreeOptions options;
-    options.max_nodes = cap;
-    ExpectMatchesReference(testutil::FigureOneTree(), options);
-    ExpectMatchesReference(dblp, options);
+    options.max_value_chars = cap;
+    ExpectMatchesReference(data, options);
+  }
+}
+
+TEST(PathSuffixTreeOracleTest, RepeatedBuildsGiveIdenticalNodes) {
+  const Tree data = testutil::SmallDblp(5);
+  const PathSuffixTree first = PathSuffixTree::Build(data);
+  for (int run = 0; run < 4; ++run) {
+    const PathSuffixTree again = PathSuffixTree::Build(data);
+    ASSERT_EQ(again.node_count(), first.node_count());
+    EXPECT_EQ(again.total_paths(), first.total_paths());
+    size_t mismatches = 0;
+    for (PstNodeId n = 0; n < first.node_count(); ++n) {
+      if (again.GetSymbol(n) != first.GetSymbol(n) ||
+          again.Parent(n) != first.Parent(n) ||
+          again.Depth(n) != first.Depth(n) ||
+          again.PathCount(n) != first.PathCount(n) ||
+          again.StartsWithTag(n) != first.StartsWithTag(n)) {
+        if (++mismatches <= 5) ADD_FAILURE() << "run " << run << " node " << n;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
   }
 }
 
