@@ -8,7 +8,7 @@
 //   ./twig_serve --port=0 --port-file=p  # ephemeral port, written to ./p
 //   ./twig_serve --store=cst.twcst03 --buffer-mb=16
 //                                        # serve a paged store, no parse
-//   ./twig_serve --datasets=eu:65536,us:131072 \
+//   ./twig_serve --datasets=eu:65536,us:131072
 //                --tenants=gold=0:8:4,probe=5:2:1
 //                                        # extra datasets + tenant quotas
 //

@@ -21,14 +21,6 @@ std::vector<std::vector<TwigNodeId>> Twig::RootToLeafPaths() const {
   return paths;
 }
 
-std::vector<TwigNodeId> Twig::BranchNodes() const {
-  std::vector<TwigNodeId> out;
-  for (TwigNodeId n = 0; n < size(); ++n) {
-    if (!IsValue(n) && Children(n).size() >= 2) out.push_back(n);
-  }
-  return out;
-}
-
 namespace {
 
 class TwigParser {

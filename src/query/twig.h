@@ -92,15 +92,6 @@ class Twig {
   /// for value leaves, whose predicates always bind to the parent).
   EdgeKind EdgeFromParent(TwigNodeId n) const { return nodes_[n].edge; }
 
-  /// True if any node hangs on a descendant edge or is a wildcard.
-  bool HasSpecialEdgesOrWildcards() const {
-    for (TwigNodeId n = 0; n < size(); ++n) {
-      if (nodes_[n].edge == EdgeKind::kDescendant) return true;
-      if (IsWildcard(n)) return true;
-    }
-    return false;
-  }
-
   /// Tag of an element node.
   std::string_view Tag(TwigNodeId n) const {
     assert(!IsValue(n));
@@ -117,20 +108,9 @@ class Twig {
   const std::vector<TwigNodeId>& Children(TwigNodeId n) const {
     return nodes_[n].children;
   }
-  bool IsLeaf(TwigNodeId n) const { return nodes_[n].children.empty(); }
-
-  /// Number of element (non-value) nodes.
-  size_t ElementCount() const {
-    size_t c = 0;
-    for (const auto& node : nodes_) c += node.is_value ? 0 : 1;
-    return c;
-  }
 
   /// Root-to-leaf node-ID sequences, in left-to-right order.
   std::vector<std::vector<TwigNodeId>> RootToLeafPaths() const;
-
-  /// Branch nodes: element nodes with two or more children.
-  std::vector<TwigNodeId> BranchNodes() const;
 
   /// Depth of node `n` (root = 0).
   size_t Depth(TwigNodeId n) const {

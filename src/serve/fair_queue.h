@@ -2,12 +2,11 @@
 // buckets for rate, weighted occupancy caps for queue share, and a
 // deficit-round-robin drain so one hot tenant cannot starve the rest.
 //
-// The queue replaces BoundedQueue at the service's admission point
-// while keeping its contract: TryPush never blocks (a refusal is a
-// structured signal, not a parking lot), Pop blocks (consumers are
-// dedicated workers), and Close picks drain-or-drop with nothing
-// silently lost. On top of that it adds three tenant disciplines, in
-// the order a request meets them:
+// The queue is the service's admission point. Its contract: TryPush
+// never blocks (a refusal is a structured signal, not a parking lot),
+// Pop blocks (consumers are dedicated workers), and Close picks
+// drain-or-drop with nothing silently lost. On top of that it adds
+// three tenant disciplines, in the order a request meets them:
 //
 //   1. Token bucket (rate): each tenant accrues `rate` tokens/second
 //      up to `burst`; a push with no token is *throttled* — a per-

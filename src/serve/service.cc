@@ -64,14 +64,11 @@ EstimateService::EstimateService(DatasetCatalog* datasets,
                                       std::chrono::nanoseconds>(
                                       options.slow_threshold)
                                       .count())})),
-      queue_(options.queue_capacity, options.tenants),
-      pool_(num_workers_) {
-  // The pool's ParallelFor is synchronous, so a dispatcher thread
-  // hosts it: each "item" is one worker's whole serve loop, which
-  // blocks in Pop until the queue closes.
-  dispatcher_ = std::thread([this] {
-    pool_.ParallelFor(num_workers_, [this](size_t, size_t) { ServeLoop(); });
-  });
+      queue_(options.queue_capacity, options.tenants) {
+  workers_.reserve(num_workers_);
+  for (size_t i = 0; i < num_workers_; ++i) {
+    workers_.emplace_back([this] { ServeLoop(); });
+  }
   // A failed rebuild leaves the last good snapshot answering but the
   // operator should know: flip health to degraded with the builder's
   // error as the reason; the next successful rebuild on that dataset
@@ -107,13 +104,23 @@ void EstimateService::Reject(Item item, Status status,
   EstimateResponse response;
   response.status = std::move(status);
   response.retry_after = retry_after;
-  item.promise.set_value(std::move(response));
+  item.done(std::move(response));
 }
 
 std::future<EstimateResponse> EstimateService::Submit(
     EstimateRequest request) {
+  auto promise = std::make_shared<std::promise<EstimateResponse>>();
+  std::future<EstimateResponse> future = promise->get_future();
+  Submit(std::move(request), [promise](EstimateResponse response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
+}
+
+void EstimateService::Submit(EstimateRequest request, Completion done) {
   Item item;
   item.request = std::move(request);
+  item.done = std::move(done);
   item.enqueued = Clock::now();
   if (item.request.deadline == Clock::time_point::max() &&
       options_.default_deadline.count() > 0) {
@@ -126,10 +133,9 @@ std::future<EstimateResponse> EstimateService::Submit(
                     static_cast<uint8_t>(item.request.algorithm),
                     item.enqueued);
   }
-  std::future<EstimateResponse> future = item.promise.get_future();
   if (shut_down_.load(std::memory_order_acquire)) {
     Reject(std::move(item), Status::Unavailable("service is shut down"));
-    return future;
+    return;
   }
   // Dataset routing happens first: an unknown dataset is a client
   // error, rejected before it can cost a cache probe or a queue slot.
@@ -138,7 +144,7 @@ std::future<EstimateResponse> EstimateService::Submit(
   if (item.catalog == nullptr) {
     Reject(std::move(item), Status::InvalidArgument(
                                 "unknown dataset '" + item.dataset + "'"));
-    return future;
+    return;
   }
   if (cache_ != nullptr) {
     // Admission-time lookup, before the queue: a hit bypasses
@@ -171,8 +177,8 @@ std::future<EstimateResponse> EstimateService::Submit(
         item.span.record.estimate = cached.estimate;
         item.span.record.snapshot_version = cached.snapshot_version;
         FinishSpan(item, obs::SpanOutcome::kCacheHit);
-        item.promise.set_value(std::move(response));
-        return future;
+        item.done(std::move(response));
+        return;
       }
     }
   }
@@ -185,16 +191,16 @@ std::future<EstimateResponse> EstimateService::Submit(
     Reject(std::move(item),
            Status::Unavailable("browning out: uncached work is shed"),
            health_.retry_after());
-    return future;
+    return;
   }
-  // Fault-injection seam covering BoundedQueue admission: a fired
+  // Fault-injection seam covering queue admission: a fired
   // "serve/admission" failpoint rejects exactly as a full queue would.
   if (Status injected = util::FailpointCheck("serve/admission");
       !injected.ok()) {
     obs::CountEvent(obs::Counter::kFaultInjected);
     item.span.record.fault_injected = true;
     Reject(std::move(item), std::move(injected));
-    return future;
+    return;
   }
   item.span.Mark(obs::SpanStage::kEnqueued);
   const std::string tenant(ResolveTenantId(item.request.tenant));
@@ -203,7 +209,7 @@ std::future<EstimateResponse> EstimateService::Submit(
     case FairQueue<Item>::PushVerdict::kAdmitted:
       obs::CountEvent(obs::Counter::kServeEnqueued);
       obs::CountEvent(obs::Counter::kServeTenantAdmitted);
-      return future;
+      return;
     case FairQueue<Item>::PushVerdict::kThrottled:
       obs::CountEvent(obs::Counter::kServeTenantThrottled);
       item.span.record.offset_ns[static_cast<size_t>(
@@ -212,13 +218,13 @@ std::future<EstimateResponse> EstimateService::Submit(
              Status::Unavailable("tenant '" + tenant +
                                  "' throttled: over rate or queue share"),
              throttle_hint);
-      return future;
+      return;
     case FairQueue<Item>::PushVerdict::kClosed:
       item.span.record.offset_ns[static_cast<size_t>(
           obs::SpanStage::kEnqueued)] = obs::kSpanStageUnset;
       Reject(std::move(item),
              Status::Unavailable("service is shutting down"));
-      return future;
+      return;
     case FairQueue<Item>::PushVerdict::kFull:
       break;
   }
@@ -227,7 +233,6 @@ std::future<EstimateResponse> EstimateService::Submit(
       obs::SpanStage::kEnqueued)] = obs::kSpanStageUnset;
   Reject(std::move(item),
          Status::Unavailable("overloaded: request queue is full"));
-  return future;
 }
 
 EstimateResponse EstimateService::SubmitAndWait(EstimateRequest request) {
@@ -253,7 +258,7 @@ void EstimateService::ServeLoop() {
       response.status =
           Status::DeadlineExceeded("deadline passed while queued");
       FinishSpan(item, obs::SpanOutcome::kDeadlineMiss);
-      item.promise.set_value(std::move(response));
+      item.done(std::move(response));
       continue;
     }
     const std::shared_ptr<const CstSnapshot> snapshot =
@@ -262,7 +267,7 @@ void EstimateService::ServeLoop() {
       obs::CountEvent(obs::Counter::kServeRejected);
       response.status = Status::Unavailable("no snapshot published yet");
       FinishSpan(item, obs::SpanOutcome::kRejected);
-      item.promise.set_value(std::move(response));
+      item.done(std::move(response));
       continue;
     }
     item.span.Mark(obs::SpanStage::kPinned);
@@ -280,7 +285,7 @@ void EstimateService::ServeLoop() {
       response.snapshot_version = snapshot->version;
       obs::CountEvent(obs::Counter::kServeServed);
       FinishSpan(item, obs::SpanOutcome::kFailed);
-      item.promise.set_value(std::move(response));
+      item.done(std::move(response));
       continue;
     }
     const core::TwigEstimator estimator(snapshot->summary.get());
@@ -323,7 +328,7 @@ void EstimateService::ServeLoop() {
       health_.ObserveOutcome(/*deadline_miss=*/false);
       obs::CountEvent(obs::Counter::kServeServed);
       FinishSpan(item, obs::SpanOutcome::kFailed);
-      item.promise.set_value(std::move(response));
+      item.done(std::move(response));
       continue;
     }
     response.estimate = *estimate;
@@ -367,7 +372,7 @@ void EstimateService::ServeLoop() {
     health_.ObserveOutcome(/*deadline_miss=*/false);
     obs::CountEvent(obs::Counter::kServeServed);
     FinishSpan(item, obs::SpanOutcome::kServed);
-    item.promise.set_value(std::move(response));
+    item.done(std::move(response));
   }
 }
 
@@ -388,8 +393,7 @@ void EstimateService::Shutdown(bool drain) {
     Reject(std::move(item), Status::Unavailable("service is shutting down"));
   }
   shut_down_.store(true, std::memory_order_release);
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.Shutdown(/*drain=*/true);
+  for (std::thread& worker : workers_) worker.join();
 }
 
 }  // namespace twig::serve

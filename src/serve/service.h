@@ -35,9 +35,10 @@
 // serve_wait latency series (time from admission to dequeue), and the
 // per-algorithm estimate latency series (execution time).
 //
-// Workers run on a util::ThreadPool whose explicit Shutdown keeps
-// teardown ordering deterministic (queue closes first, workers drain,
-// then the pool joins).
+// Submit hands every response to a completion callback, exactly once;
+// in-process callers use the future-returning wrapper. The serve
+// workers are num_workers plain threads: Shutdown closes the queue,
+// they drain it, and then they are joined.
 
 #ifndef TWIG_SERVE_SERVICE_H_
 #define TWIG_SERVE_SERVICE_H_
@@ -62,7 +63,6 @@
 #include "serve/result_cache.h"
 #include "serve/snapshot.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace twig::serve {
 
@@ -168,9 +168,18 @@ class EstimateService {
   /// Equivalent to Shutdown(/*drain=*/true).
   ~EstimateService();
 
-  /// Admits `request` (or rejects it immediately); the future always
-  /// becomes ready — with an estimate, a structured rejection, or a
+  /// Receives a request's response. Runs inline in Submit for
+  /// rejections and cache hits, on a serve worker otherwise, and on
+  /// the Shutdown caller for requests a non-draining Shutdown rejects;
+  /// it must not block.
+  using Completion = std::function<void(EstimateResponse)>;
+
+  /// Admits `request` (or rejects it immediately) and calls `done`
+  /// exactly once — with an estimate, a structured rejection, or a
   /// deadline miss. Never blocks.
+  void Submit(EstimateRequest request, Completion done);
+
+  /// Submit, with the response delivered through a future.
   std::future<EstimateResponse> Submit(EstimateRequest request);
 
   /// Convenience: Submit and wait for the response.
@@ -178,8 +187,8 @@ class EstimateService {
 
   /// Stops the service. With `drain`, requests already admitted are
   /// answered first; without it they are rejected with Unavailable.
-  /// Either way new Submits reject, every admitted request's future
-  /// completes, and the workers are joined before returning.
+  /// Either way new Submits reject, every admitted request's
+  /// completion runs, and the workers are joined before returning.
   /// Idempotent (the first caller's drain choice wins).
   void Shutdown(bool drain);
 
@@ -210,7 +219,7 @@ class EstimateService {
  private:
   struct Item {
     EstimateRequest request;
-    std::promise<EstimateResponse> promise;
+    Completion done;
     std::chrono::steady_clock::time_point enqueued;
     /// Canonical form computed once at admission (for the cache
     /// lookup) and reused by the worker to insert under the snapshot
@@ -264,15 +273,15 @@ class EstimateService {
   /// thread records). nullptr disables span tracing.
   std::unique_ptr<obs::FlightRecorder> recorder_;
   FairQueue<Item> queue_;
-  util::ThreadPool pool_;
-  /// Runs the blocking ParallelFor that hosts the serve loops.
-  std::thread dispatcher_;
   std::atomic<bool> shut_down_{false};
   std::mutex shutdown_mutex_;
   /// Request ids for spans, monotone from 1.
   std::atomic<uint64_t> next_request_id_{1};
   /// Accuracy sampler tick: every Nth successful estimate is checked.
   std::atomic<uint64_t> accuracy_tick_{0};
+  /// num_workers_ threads, each running ServeLoop until the queue
+  /// closes; declared after everything they use, joined by Shutdown.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace twig::serve

@@ -13,7 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <future>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -55,13 +55,57 @@ struct ReplySlot {
   /// True once `text` holds the rendered reply line (sans newline).
   bool ready = false;
   std::string text;
-  /// The estimate future and its request, for slots answered by the
-  /// service off-thread.
-  std::future<EstimateResponse> future;
+  /// An estimate's request, kept to render its reply once the service
+  /// posts the response.
   WireRequest request;
 };
 
+/// Where the service's completions leave estimate responses for one
+/// epoll worker. The worker and every in-flight completion share it,
+/// so a completion that runs after Stop (or after the front end is
+/// gone) touches only the inbox, and the eventfd closes with the last
+/// owner.
+struct ReplyInbox {
+  struct Posted {
+    uint64_t conn_id;
+    uint64_t seq;
+    EstimateResponse response;
+  };
+
+  std::mutex mutex;
+  std::vector<Posted> posted;
+  /// The worker's wake-up: completions and Stop write it.
+  int wake_fd = -1;
+
+  ~ReplyInbox() {
+    if (wake_fd >= 0) close(wake_fd);
+  }
+
+  void Wake() const {
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t written =
+        write(wake_fd, &one, sizeof(one));
+  }
+
+  /// Only a post that finds the inbox empty writes the eventfd. No
+  /// wake-up is lost because the worker reads the eventfd *before* it
+  /// swaps the posts out: a post that lands after the swap finds the
+  /// inbox empty and wakes it again.
+  void Post(Posted reply) {
+    bool was_empty;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      was_empty = posted.empty();
+      posted.push_back(std::move(reply));
+    }
+    if (was_empty) Wake();
+  }
+};
+
 struct TcpFrontEnd::Conn {
+  /// Never reused, unlike the fd: a closed connection's late reply
+  /// finds no connection instead of the next owner of its descriptor.
+  uint64_t id = 0;
   int fd = -1;
   /// Read side: bytes [in_start, in.size()) are unconsumed. Offset
   /// consume with amortized compaction — the old erase-per-recv
@@ -73,10 +117,9 @@ struct TcpFrontEnd::Conn {
   std::string out;
   size_t out_start = 0;
   std::deque<ReplySlot> slots;
-  /// Slots whose future is not yet ready.
-  size_t pending_futures = 0;
-  /// Registered in Worker::pending (has unfinished futures).
-  bool in_pending = false;
+  /// Sequence number of slots.front(); a slot's number is its
+  /// request's position on the connection.
+  uint64_t first_seq = 0;
   /// EPOLLOUT armed (the socket refused part of the backlog).
   bool want_write = false;
   /// Close once every slot has drained and the backlog is flushed.
@@ -90,17 +133,17 @@ struct TcpFrontEnd::Conn {
 
 struct TcpFrontEnd::Worker {
   int epoll_fd = -1;
-  int wake_fd = -1;
-  std::unordered_map<int, std::unique_ptr<Conn>> conns;
-  /// Connections with unfinished estimate futures, polled between
-  /// epoll waits.
-  std::vector<Conn*> pending;
+  std::shared_ptr<ReplyInbox> inbox = std::make_shared<ReplyInbox>();
+  /// The posts being delivered; swapped with the inbox's vector so
+  /// both keep their capacity.
+  std::vector<ReplyInbox::Posted> delivering;
+  uint64_t next_conn_id = 0;
+  std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
   /// Closed-this-iteration connections, freed at a safe point.
   std::vector<std::unique_ptr<Conn>> graveyard;
 
   ~Worker() {
     if (epoll_fd >= 0) close(epoll_fd);
-    if (wake_fd >= 0) close(wake_fd);
   }
 };
 
@@ -179,9 +222,9 @@ Status TcpFrontEnd::Start() {
   for (size_t i = 0; i < n; ++i) {
     auto worker = std::make_unique<Worker>();
     worker->epoll_fd = epoll_create1(0);
-    worker->wake_fd =
+    worker->inbox->wake_fd =
         worker->epoll_fd < 0 ? -1 : eventfd(0, EFD_NONBLOCK);
-    if (worker->epoll_fd < 0 || worker->wake_fd < 0) {
+    if (worker->epoll_fd < 0 || worker->inbox->wake_fd < 0) {
       const Status status = Status::Internal(
           std::string("epoll setup: ") + std::strerror(errno));
       workers_.clear();
@@ -203,7 +246,7 @@ Status TcpFrontEnd::Start() {
     wake_ev.data.u64 = kWakeTag;
     if (epoll_ctl(worker->epoll_fd, EPOLL_CTL_ADD, listen_fd_,
                   &listen_ev) != 0 ||
-        epoll_ctl(worker->epoll_fd, EPOLL_CTL_ADD, worker->wake_fd,
+        epoll_ctl(worker->epoll_fd, EPOLL_CTL_ADD, worker->inbox->wake_fd,
                   &wake_ev) != 0) {
       const Status status = Status::Internal(
           std::string("epoll_ctl: ") + std::strerror(errno));
@@ -224,17 +267,10 @@ Status TcpFrontEnd::Start() {
 
 void TcpFrontEnd::WorkerMain(Worker& worker) {
   std::array<epoll_event, 64> events;
-  // Futures have no fd to wait on, so while any are outstanding the
-  // loop polls: spin (timeout 0) briefly for microsecond estimates,
-  // then degrade to 1 ms ticks so a stalled worker does not burn a
-  // core for the duration of a chaos delay.
-  int fruitless_polls = 0;
   while (!shutting_down_.load(std::memory_order_acquire)) {
-    int timeout = -1;
-    if (!worker.pending.empty()) timeout = fruitless_polls < 256 ? 0 : 1;
     const int n =
         epoll_wait(worker.epoll_fd, events.data(),
-                   static_cast<int>(events.size()), timeout);
+                   static_cast<int>(events.size()), /*timeout=*/-1);
     if (shutting_down_.load(std::memory_order_acquire)) break;
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -247,9 +283,7 @@ void TcpFrontEnd::WorkerMain(Worker& worker) {
         continue;
       }
       if (event.data.u64 == kWakeTag) {
-        uint64_t drained;
-        while (read(worker.wake_fd, &drained, sizeof(drained)) > 0) {
-        }
+        DeliverReplies(worker);
         continue;
       }
       Conn& conn = *static_cast<Conn*>(event.data.ptr);
@@ -261,41 +295,43 @@ void TcpFrontEnd::WorkerMain(Worker& worker) {
       if (alive) alive = PumpConn(worker, conn);
       if (!alive) CloseConn(worker, conn);
     }
-    // Poll connections with outstanding futures; release whatever
-    // completed, in request order per connection.
-    bool progressed = false;
-    for (size_t i = 0; i < worker.pending.size();) {
-      Conn* conn = worker.pending[i];
-      if (conn->dead) {
-        worker.pending[i] = worker.pending.back();
-        worker.pending.pop_back();
-        continue;
-      }
-      const size_t before = conn->pending_futures;
-      if (!PumpConn(worker, *conn)) {
-        CloseConn(worker, *conn);
-        worker.pending[i] = worker.pending.back();
-        worker.pending.pop_back();
-        continue;
-      }
-      if (conn->pending_futures < before) progressed = true;
-      if (conn->pending_futures == 0) {
-        conn->in_pending = false;
-        worker.pending[i] = worker.pending.back();
-        worker.pending.pop_back();
-        continue;
-      }
-      ++i;
-    }
-    fruitless_polls = (progressed || n > 0) ? 0 : fruitless_polls + 1;
     worker.graveyard.clear();
   }
   // Shutdown: this worker owns its connections; closing them here
   // unblocks any client still reading.
-  for (auto& [fd, conn] : worker.conns) close(fd);
+  for (auto& [id, conn] : worker.conns) close(conn->fd);
   worker.conns.clear();
-  worker.pending.clear();
   worker.graveyard.clear();
+}
+
+void TcpFrontEnd::DeliverReplies(Worker& worker) {
+  // Read the eventfd before swapping the posts out (ReplyInbox::Post).
+  // One read resets its counter.
+  uint64_t drained;
+  [[maybe_unused]] const ssize_t got =
+      read(worker.inbox->wake_fd, &drained, sizeof(drained));
+  {
+    // Not held while dispatching: a rejection or cache hit posts from
+    // inside Submit, on this thread.
+    std::lock_guard<std::mutex> lock(worker.inbox->mutex);
+    worker.delivering.swap(worker.inbox->posted);
+  }
+  std::vector<Conn*> touched;
+  for (ReplyInbox::Posted& reply : worker.delivering) {
+    auto it = worker.conns.find(reply.conn_id);
+    if (it == worker.conns.end()) continue;  // closed; nobody to answer
+    Conn& conn = *it->second;
+    ReplySlot& slot = conn.slots[reply.seq - conn.first_seq];
+    slot.text = EstimateWireResponse(slot.request, reply.response);
+    slot.ready = true;
+    touched.push_back(&conn);
+  }
+  worker.delivering.clear();
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (Conn* conn : touched) {
+    if (!PumpConn(worker, *conn)) CloseConn(worker, *conn);
+  }
 }
 
 void TcpFrontEnd::AcceptBurst(Worker& worker) {
@@ -307,6 +343,7 @@ void TcpFrontEnd::AcceptBurst(Worker& worker) {
         return;
       }
       auto conn = std::make_unique<Conn>();
+      conn->id = worker.next_conn_id++;
       conn->fd = fd;
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -315,7 +352,7 @@ void TcpFrontEnd::AcceptBurst(Worker& worker) {
         close(fd);
         continue;
       }
-      worker.conns.emplace(fd, std::move(conn));
+      worker.conns.emplace(conn->id, std::move(conn));
       continue;
     }
     const int err = errno;
@@ -450,15 +487,17 @@ void TcpFrontEnd::DispatchLine(Worker& worker, Conn& conn,
     }
     // Asynchronous: the worker never blocks on the service, so queued
     // estimates (anyone's, notably a flooded tenant's) cannot stall
-    // the other connections this loop owns.
+    // the other connections this loop owns. The completion posts the
+    // response to this worker's inbox, keyed by connection id and
+    // slot sequence.
+    const uint64_t seq = conn.first_seq + conn.slots.size();
     slot.request = std::move(request);
-    slot.future = service_->Submit(std::move(estimate));
     conn.slots.push_back(std::move(slot));
-    ++conn.pending_futures;
-    if (!conn.in_pending) {
-      conn.in_pending = true;
-      worker.pending.push_back(&conn);
-    }
+    service_->Submit(std::move(estimate),
+                     [inbox = worker.inbox, conn_id = conn.id,
+                      seq](EstimateResponse response) {
+                       inbox->Post({conn_id, seq, std::move(response)});
+                     });
     return;
   }
 
@@ -506,18 +545,9 @@ void TcpFrontEnd::DispatchLine(Worker& worker, Conn& conn,
 }
 
 bool TcpFrontEnd::PumpConn(Worker& worker, Conn& conn) {
-  (void)worker;
   while (!conn.slots.empty()) {
     ReplySlot& slot = conn.slots.front();
-    if (!slot.ready) {
-      if (slot.future.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        break;  // replies release strictly in request order
-      }
-      slot.text = EstimateWireResponse(slot.request, slot.future.get());
-      slot.ready = true;
-      --conn.pending_futures;
-    }
+    if (!slot.ready) break;  // replies release strictly in request order
     // "tcp/write": a fired error tears this reply — a prefix goes
     // out after the flushed backlog, then the connection drops,
     // exactly what a mid-reply network failure looks like.
@@ -531,6 +561,7 @@ bool TcpFrontEnd::PumpConn(Worker& worker, Conn& conn) {
     conn.out += slot.text;
     conn.out.push_back('\n');
     conn.slots.pop_front();
+    ++conn.first_seq;
   }
   if (!FlushConn(worker, conn)) return false;
   const bool flushed = conn.out_start >= conn.out.size();
@@ -576,9 +607,9 @@ void TcpFrontEnd::CloseConn(Worker& worker, Conn& conn) {
   conn.dead = true;
   epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
   close(conn.fd);
-  auto it = worker.conns.find(conn.fd);
+  auto it = worker.conns.find(conn.id);
   if (it != worker.conns.end()) {
-    // Defer the free: the current epoll batch (or the pending sweep)
+    // Defer the free: the current epoll batch (or a reply delivery)
     // may still hold this pointer; the graveyard clears at the end of
     // the loop iteration.
     worker.graveyard.push_back(std::move(it->second));
@@ -759,9 +790,7 @@ void TcpFrontEnd::Stop() {
   // worker still inside accept4.
   shutting_down_.store(true, std::memory_order_release);
   for (const std::unique_ptr<Worker>& worker : workers_) {
-    const uint64_t one = 1;
-    [[maybe_unused]] const ssize_t written =
-        write(worker->wake_fd, &one, sizeof(one));
+    worker->inbox->Wake();
   }
   for (std::thread& thread : worker_threads_) {
     if (thread.joinable()) thread.join();

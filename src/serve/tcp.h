@@ -12,12 +12,15 @@
 // Request handling: cheap ops (ping, metrics, stats, health, ...)
 // answer inline on the worker. Estimates are submitted to the
 // EstimateService *asynchronously*: each request line gets an ordered
-// reply slot on its connection, the worker polls outstanding futures
-// between epoll waits, and replies are released strictly in request
-// order — so pipelined clients see byte-identical reply sequences and
-// a tenant whose requests are queued can never stall another tenant's
-// connections at the transport layer (the fairness the admission
-// queue provides would otherwise be defeated here).
+// reply slot on its connection, and the service's completion posts
+// (connection id, slot sequence, response) to the owning worker's
+// inbox and writes its eventfd. The worker blocks in epoll_wait until
+// a socket or that eventfd is ready, renders posted replies into their
+// slots, and releases slots strictly in request order — so pipelined
+// clients see byte-identical reply sequences and a tenant whose
+// requests are queued can never stall another tenant's connections at
+// the transport layer (the fairness the admission queue provides would
+// otherwise be defeated here).
 //
 // Accept robustness: transient accept failures — EMFILE/ENFILE (fd
 // exhaustion), ECONNABORTED, ENOMEM, EINTR — are counted
@@ -154,8 +157,12 @@ class TcpFrontEnd {
   bool ReadConn(Worker& worker, Conn& conn);
 
   /// Dispatches one request line: sync ops fill the slot immediately,
-  /// estimates leave a pending future.
+  /// estimates leave it for their completion to fill.
   void DispatchLine(Worker& worker, Conn& conn, std::string_view line);
+
+  /// Renders the replies posted to `worker`'s inbox into their slots
+  /// and pumps each connection that received one.
+  void DeliverReplies(Worker& worker);
 
   /// Releases completed reply slots in request order into the write
   /// backlog and flushes it. False = close the connection.

@@ -28,37 +28,6 @@ Signature SetHashFamily::SignatureOf(
   return sig;
 }
 
-Signature UnionSignature(const std::vector<const Signature*>& sigs) {
-  assert(!sigs.empty());
-  Signature out = *sigs[0];
-  for (size_t s = 1; s < sigs.size(); ++s) {
-    assert(sigs[s]->size() == out.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] = std::min(out[i], (*sigs[s])[i]);
-    }
-  }
-  return out;
-}
-
-double EstimateResemblance(const std::vector<const Signature*>& sigs) {
-  assert(!sigs.empty());
-  const size_t length = sigs[0]->size();
-  size_t matching = 0;
-  for (size_t i = 0; i < length; ++i) {
-    const uint32_t first = (*sigs[0])[i];
-    if (first == kEmptyComponent) continue;
-    bool all_equal = true;
-    for (size_t s = 1; s < sigs.size(); ++s) {
-      if ((*sigs[s])[i] != first) {
-        all_equal = false;
-        break;
-      }
-    }
-    if (all_equal) ++matching;
-  }
-  return static_cast<double>(matching) / static_cast<double>(length);
-}
-
 IntersectionEstimate EstimateIntersectionSize(
     std::span<const SizedSignature> sets) {
   assert(!sets.empty());

@@ -59,14 +59,6 @@ class SetHashFamily {
   std::vector<uint64_t> component_keys_;
 };
 
-/// Component-wise minimum of k signatures: the signature of the union.
-Signature UnionSignature(const std::vector<const Signature*>& sigs);
-
-/// Estimated resemblance |∩|/|∪| of the k sets behind `sigs`: the
-/// fraction of components on which all k signatures agree (and are
-/// non-empty). Requires k >= 1; k == 1 returns 1 for non-empty sets.
-double EstimateResemblance(const std::vector<const Signature*>& sigs);
-
 /// One set with its signature and exactly known cardinality (C_p from
 /// the CST).
 struct SizedSignature {

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -38,11 +37,6 @@ struct BatchStats {
   /// intersections, fallbacks. The registry is process-wide, so
   /// concurrent non-batch estimation bleeds into the delta.
   obs::CounterArray counter_deltas{};
-
-  /// counter_deltas as a JSON object (obs::CountersToJson).
-  std::string CounterDeltasJson() const {
-    return obs::CountersToJson(counter_deltas);
-  }
 
   size_t total_queries() const {
     size_t total = 0;

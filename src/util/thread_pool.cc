@@ -14,25 +14,13 @@ ThreadPool::ThreadPool(size_t num_threads) {
   }
 }
 
-ThreadPool::~ThreadPool() { Shutdown(/*drain=*/true); }
-
-void ThreadPool::Shutdown(bool drain) {
+ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (shut_down_) return;
-    shut_down_ = true;
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    // Workers exit their wait loop once stopping_ is set, but a worker
-    // inside DrainItems keeps claiming items until the shared index is
-    // exhausted — so an in-flight batch always drains unless we exhaust
-    // the index here ourselves.
-    if (!drain) {
-      next_item_.store(item_count_, std::memory_order_relaxed);
-    }
   }
   work_ready_.notify_all();
   for (std::thread& t : threads_) t.join();
-  threads_.clear();
 }
 
 void ThreadPool::DrainItems(size_t worker) {
@@ -52,18 +40,13 @@ void ThreadPool::WorkerMain(size_t worker) {
       work_ready_.wait(lock, [&] {
         return stopping_ || generation_ != seen_generation;
       });
-      // A batch published before (or racing) Shutdown must still be
-      // drained — otherwise its ParallelFor caller would wait on
-      // busy_workers_ forever. Exit only when there is no fresh batch.
-      if (generation_ == seen_generation) return;
+      if (stopping_) return;
       seen_generation = generation_;
     }
     DrainItems(worker);
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      const bool batch_done = --busy_workers_ == 0;
-      if (batch_done) work_done_.notify_all();
-      if (stopping_) return;
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (--busy_workers_ == 0) work_done_.notify_all();
     }
   }
 }
@@ -72,12 +55,7 @@ void ThreadPool::ParallelFor(
     size_t count, const std::function<void(size_t, size_t)>& body) {
   if (count == 0) return;
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (shut_down_) {
-      lock.unlock();
-      for (size_t item = 0; item < count; ++item) body(item, 0);
-      return;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
     body_ = &body;
     item_count_ = count;
     next_item_.store(0, std::memory_order_relaxed);

@@ -1,20 +1,16 @@
 // A fixed-size worker pool for fanning independent work items across
 // threads.
 //
-// Built for batch estimation: a workload's queries are independent
-// reads against a shared immutable CST, so the pool only needs static
-// index-range dispatch — ParallelFor hands out item indices through a
-// shared atomic counter, which balances load without any per-item
-// queueing or allocation. Workers are started once and reused across
-// calls; the pool joins them on destruction.
+// Built for batch estimation and the construction passes: the items
+// are independent, so the pool only needs static index-range dispatch
+// — ParallelFor hands out item indices through a shared atomic
+// counter, which balances load without any per-item queueing or
+// allocation. Workers are started once and reused across calls.
 //
-// Shutdown semantics: there is no queue of pending batches (ParallelFor
-// is synchronous), so the only work that can be "queued" is the
-// unclaimed tail of an in-flight batch. Destruction is equivalent to
-// Shutdown(/*drain=*/true): an in-flight ParallelFor finishes every
-// item before the workers join. Long-lived owners (e.g. the serving
-// layer) call Shutdown explicitly so teardown order is deterministic
-// instead of racing the destructor.
+// Every owner scopes the pool around synchronous ParallelFor calls
+// (EstimateBatch, Cst::Build's count pass, PathSuffixTree::Build), so
+// no batch is in flight when the pool is destroyed, and the destructor
+// only stops and joins the workers.
 
 #ifndef TWIG_UTIL_THREAD_POOL_H_
 #define TWIG_UTIL_THREAD_POOL_H_
@@ -37,20 +33,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Equivalent to Shutdown(/*drain=*/true).
+  /// Stops and joins the workers. No ParallelFor may be in flight.
   ~ThreadPool();
 
-  /// Stops the pool and joins the workers. With `drain` (the
-  /// destructor's behavior) an in-flight ParallelFor completes all of
-  /// its items first; without it, items not yet claimed by a worker are
-  /// abandoned — the blocked ParallelFor caller still returns once the
-  /// items already in progress finish, but its body will not have run
-  /// for every index. Idempotent and safe to call concurrently with a
-  /// ParallelFor issued from another thread. After Shutdown, ParallelFor
-  /// runs its items inline on the calling thread.
-  void Shutdown(bool drain = true);
-
-  /// Number of worker threads (>= 1 until Shutdown, 0 after).
+  /// Number of worker threads (>= 1).
   size_t size() const { return threads_.size(); }
 
   /// Runs body(item, worker) for every item in [0, count), fanned
@@ -74,8 +60,6 @@ class ThreadPool {
   /// Incremented per ParallelFor call; workers wake when it changes.
   uint64_t generation_ = 0;
   bool stopping_ = false;
-  /// Set once Shutdown has joined the workers (ParallelFor runs inline).
-  bool shut_down_ = false;
 
   // State of the in-flight ParallelFor, valid while busy_workers_ > 0
   // or next_item_ < item_count_.

@@ -392,7 +392,9 @@ TEST(CstSerializeTest, RoundTripPreservesEverything) {
     const auto* sa = original.GetSignature(a);
     const auto* sb = restored->GetSignature(b);
     ASSERT_EQ(sa == nullptr, sb == nullptr) << spec;
-    if (sa != nullptr) EXPECT_EQ(*sa, *sb);
+    if (sa != nullptr) {
+      EXPECT_EQ(*sa, *sb);
+    }
   }
 }
 

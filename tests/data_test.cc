@@ -168,7 +168,9 @@ TEST(SwissProtGeneratorTest, LineageConsistentPerOrganism) {
     }
     ASSERT_FALSE(name.empty());
     auto [it, inserted] = lineage_by_organism.emplace(name, lineage);
-    if (!inserted) EXPECT_EQ(it->second, lineage) << name;
+    if (!inserted) {
+      EXPECT_EQ(it->second, lineage) << name;
+    }
   }
 }
 

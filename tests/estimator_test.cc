@@ -274,10 +274,6 @@ TEST_F(EstimatorTest, BatchStatsPopulatedOnInlinePath) {
       batch_stats.counter_deltas[static_cast<size_t>(
           obs::Counter::kEstimates)],
       3u);
-  // The JSON rendering carries one key per counter.
-  const std::string json = batch_stats.CounterDeltasJson();
-  EXPECT_NE(json.find("\"estimates\""), std::string::npos);
-  EXPECT_NE(json.find("\"cst_subpath_lookups\""), std::string::npos);
 }
 
 TEST_F(EstimatorTest, BatchIgnoresAttachedTrace) {

@@ -19,7 +19,6 @@ TEST(TwigTest, BuildSimpleTwig) {
   EXPECT_TRUE(t.IsValue(value));
   EXPECT_EQ(t.Value(value), "Su");
   EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.ElementCount(), 2u);
 }
 
 TEST(TwigTest, RootToLeafPaths) {
@@ -32,15 +31,6 @@ TEST(TwigTest, RootToLeafPaths) {
   EXPECT_EQ(paths[1].size(), 2u);
   EXPECT_EQ(paths[0][0], t->root());
   EXPECT_EQ(paths[1][0], t->root());
-}
-
-TEST(TwigTest, BranchNodes) {
-  auto t = ParseTwig("a(b(c, d), e)");
-  ASSERT_TRUE(t.ok());
-  auto branches = t->BranchNodes();
-  ASSERT_EQ(branches.size(), 2u);  // a and b
-  EXPECT_EQ(t->Tag(branches[0]), "a");
-  EXPECT_EQ(t->Tag(branches[1]), "b");
 }
 
 TEST(TwigTest, DepthIsEdgesFromRoot) {
@@ -100,7 +90,6 @@ TEST(ParseTwigTest, DescendantEdges) {
   TwigNodeId b = t->Children(t->root())[0];
   EXPECT_EQ(t->EdgeFromParent(b), EdgeKind::kDescendant);
   EXPECT_EQ(t->EdgeFromParent(t->root()), EdgeKind::kChild);
-  EXPECT_TRUE(t->HasSpecialEdgesOrWildcards());
   EXPECT_EQ(FormatTwig(*t), "a//b");
 
   auto mixed = ParseTwig("a(//b.c, d//e)");
@@ -124,16 +113,6 @@ TEST(ParseTwigTest, DescendantEdgeErrors) {
   EXPECT_FALSE(ParseTwig("a(//\"v\")").ok());
   EXPECT_FALSE(ParseTwig("a//=\"v\"").ok());
   EXPECT_FALSE(ParseTwig("a//").ok());
-}
-
-TEST(TwigTest, HasSpecialEdgesOrWildcards) {
-  auto plain = ParseTwig("a(b=\"x\", c)");
-  auto wild = ParseTwig("a(*, c)");
-  auto desc = ParseTwig("a(b//d, c)");
-  ASSERT_TRUE(plain.ok() && wild.ok() && desc.ok());
-  EXPECT_FALSE(plain->HasSpecialEdgesOrWildcards());
-  EXPECT_TRUE(wild->HasSpecialEdgesOrWildcards());
-  EXPECT_TRUE(desc->HasSpecialEdgesOrWildcards());
 }
 
 TEST(TwigEqualsTest, EdgeKindsDistinguish) {

@@ -33,7 +33,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "query/twig.h"
-#include "serve/bounded_queue.h"
 #include "serve/fair_queue.h"
 #include "serve/health.h"
 #include "serve/result_cache.h"
@@ -53,90 +52,6 @@ namespace {
 
 using std::chrono::milliseconds;
 using Clock = std::chrono::steady_clock;
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-
-TEST(BoundedQueueTest, FifoWithinCapacity) {
-  BoundedQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    int item = i;
-    EXPECT_TRUE(q.TryPush(item));
-  }
-  EXPECT_EQ(q.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    std::optional<int> got = q.Pop();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, i);
-  }
-  q.Close(/*drain=*/true);
-}
-
-TEST(BoundedQueueTest, TryPushRejectsWhenFullAndLeavesItemIntact) {
-  BoundedQueue<std::string> q(1);
-  std::string first = "first";
-  EXPECT_TRUE(q.TryPush(first));
-  std::string second = "second";
-  EXPECT_FALSE(q.TryPush(second));
-  EXPECT_EQ(second, "second");  // a rejected item is not consumed
-  q.Close(/*drain=*/false);
-}
-
-TEST(BoundedQueueTest, PopBlocksUntilPush) {
-  BoundedQueue<int> q(2);
-  std::promise<int> popped;
-  std::thread consumer([&] { popped.set_value(q.Pop().value()); });
-  std::this_thread::sleep_for(milliseconds(10));
-  int item = 7;
-  EXPECT_TRUE(q.TryPush(item));
-  EXPECT_EQ(popped.get_future().get(), 7);
-  consumer.join();
-  q.Close(/*drain=*/true);
-}
-
-TEST(BoundedQueueTest, CloseWithDrainDeliversQueuedItemsThenEndsStream) {
-  BoundedQueue<int> q(4);
-  for (int i = 0; i < 3; ++i) {
-    int item = i;
-    ASSERT_TRUE(q.TryPush(item));
-  }
-  EXPECT_TRUE(q.Close(/*drain=*/true).empty());
-  EXPECT_TRUE(q.closed());
-  int item = 9;
-  EXPECT_FALSE(q.TryPush(item));  // closed queue admits nothing
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(q.Pop().value(), i);
-  EXPECT_FALSE(q.Pop().has_value());  // end of stream
-}
-
-TEST(BoundedQueueTest, CloseWithoutDrainReturnsLeftoversAndWakesPoppers) {
-  BoundedQueue<int> q(4);
-  std::promise<bool> blocked_pop;
-  std::thread consumer([&] { blocked_pop.set_value(q.Pop().has_value()); });
-  std::this_thread::sleep_for(milliseconds(10));
-  // Close(drop) must wake the blocked Pop with end-of-stream...
-  std::vector<int> leftovers = q.Close(/*drain=*/false);
-  EXPECT_FALSE(blocked_pop.get_future().get());
-  consumer.join();
-  EXPECT_TRUE(leftovers.empty());
-
-  // ...and hand back anything still queued so the caller can reject it.
-  BoundedQueue<int> q2(4);
-  for (int i = 0; i < 3; ++i) {
-    int item = i;
-    ASSERT_TRUE(q2.TryPush(item));
-  }
-  leftovers = q2.Close(/*drain=*/false);
-  EXPECT_EQ(leftovers, (std::vector<int>{0, 1, 2}));
-  EXPECT_FALSE(q2.Pop().has_value());
-  EXPECT_TRUE(q2.Close(/*drain=*/false).empty());  // idempotent
-}
-
-TEST(BoundedQueueTest, ZeroCapacityIsBumpedToOne) {
-  BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  q.Close(/*drain=*/true);
-}
 
 // ---------------------------------------------------------------------------
 // FairQueue
@@ -2417,9 +2332,9 @@ TEST_F(TcpFrontEndTest, PipelinedBurstRepliesByteIdenticalToSequential) {
 }
 
 TEST_F(TcpFrontEndTest, PipelinedEstimatesReplyInRequestOrder) {
-  // Estimates resolve through futures off the event loop; the reply
-  // slots must still release them in request order, interleaved
-  // correctly with inline ops.
+  // Estimates complete on the serve workers and are posted back to the
+  // event loop; the reply slots must still release them in request
+  // order, interleaved correctly with inline ops.
   StartServer();
   const char* kQueries[] = {"article(author, year)", "article.title",
                             "inproceedings(author, pages)",
@@ -2498,6 +2413,102 @@ TEST_F(TcpFrontEndTest, AcceptRidesOutFdExhaustion) {
   const std::string reply = victim.RoundTrip("{\"op\":\"ping\",\"id\":2}");
   ASSERT_FALSE(reply.empty());
   EXPECT_TRUE(MustParseJson(reply).GetBool("ok"));
+}
+
+// ---------------------------------------------------------------------------
+// TCP front end: completions posted back to the epoll worker
+
+std::string EstimateLine(int id) {
+  return "{\"op\":\"estimate\",\"id\":" + std::to_string(id) +
+         ",\"query\":\"article(author, year)\"}";
+}
+
+std::string PingLine(int id) {
+  return "{\"op\":\"ping\",\"id\":" + std::to_string(id) + "}";
+}
+
+/// Polls until the service holds `depth` queued requests (or 5 s pass).
+bool AwaitQueueDepth(const EstimateService& service, size_t depth) {
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (service.queue_depth() != depth && Clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return service.queue_depth() == depth;
+}
+
+TEST(TcpFrontEndCompletionTest,
+     ClosedConnectionsLateReplyNeverReachesNextOwner) {
+  // One epoll worker and one held serve worker. Connection A's estimate
+  // completes only after A has hung up and connection C has (on a
+  // quiet process) been given A's freed descriptor. Replies find their
+  // connection by an id that is never reused, so A's late reply is
+  // dropped instead of landing in C's reply slots.
+  SnapshotCatalog catalog;
+  catalog.Publish(SharedCorpus().BuildCst(0.02), "v1");
+  WorkerGate gate;
+  EstimateService service(&catalog, gate.Options(/*queue_capacity=*/16));
+  TcpOptions options;
+  options.num_connection_threads = 1;
+  TcpFrontEnd front_end(&catalog, &service, options);
+  ASSERT_TRUE(front_end.Start().ok());
+  {
+    TestClient a(front_end.port());
+    ASSERT_TRUE(a.connected());
+    a.Send(EstimateLine(1) + "\n" + PingLine(2));
+    gate.AwaitHeld();  // A's estimate is parked on the serve worker
+  }  // A hangs up with both replies owed
+  // A's hang-up reached the server before B's first request, so the
+  // worker has handled it by the time it answers B's second one.
+  TestClient b(front_end.port());
+  EXPECT_TRUE(MustParseJson(b.RoundTrip(PingLine(3))).GetBool("ok"));
+  EXPECT_TRUE(MustParseJson(b.RoundTrip(PingLine(4))).GetBool("ok"));
+
+  TestClient c(front_end.port());
+  EXPECT_TRUE(c.connected());
+  c.Send(PingLine(5) + "\n" + EstimateLine(6));
+  EXPECT_TRUE(AwaitQueueDepth(service, 1));  // C's estimate waits behind A's
+  gate.Release();
+  const obs::JsonValue ping = MustParseJson(c.ReadLine());
+  EXPECT_EQ(ping.GetString("op"), "ping");
+  EXPECT_DOUBLE_EQ(ping.GetNumber("id"), 5);
+  const obs::JsonValue estimate = MustParseJson(c.ReadLine());
+  EXPECT_TRUE(estimate.GetBool("ok"));
+  EXPECT_EQ(estimate.GetString("op"), "estimate");
+  EXPECT_DOUBLE_EQ(estimate.GetNumber("id"), 6);
+  // Nothing else was written to C: its next reply answers its next
+  // request.
+  EXPECT_DOUBLE_EQ(MustParseJson(c.RoundTrip(PingLine(7))).GetNumber("id"),
+                   7);
+}
+
+TEST(TcpFrontEndCompletionTest, EstimatesOutliveTheFrontEnd) {
+  // twig_serve destroys its front end before its service, so a
+  // completion can run after the epoll workers are gone. It touches
+  // only the inbox it shares with them, which outlives them.
+  SnapshotCatalog catalog;
+  catalog.Publish(SharedCorpus().BuildCst(0.02), "v1");
+  WorkerGate gate;
+  EstimateService service(&catalog, gate.Options(/*queue_capacity=*/16));
+  std::optional<TcpFrontEnd> front_end;
+  front_end.emplace(&catalog, &service);
+  ASSERT_TRUE(front_end->Start().ok());
+  const auto served = [] {
+    return obs::MetricsRegistry::Get().Snapshot().counters[static_cast<size_t>(
+        obs::Counter::kServeServed)];
+  };
+  const uint64_t served_before = served();
+
+  TestClient client(front_end->port());
+  ASSERT_TRUE(client.connected());
+  client.Send(EstimateLine(1) + "\n" + EstimateLine(2) + "\n" +
+              EstimateLine(3) + "\n" + EstimateLine(4));
+  gate.AwaitHeld();
+  EXPECT_TRUE(AwaitQueueDepth(service, 3));
+  front_end.reset();
+  EXPECT_EQ(client.ReadLine(), "");  // closed with every reply owed
+  gate.Release();
+  service.Shutdown(/*drain=*/true);
+  EXPECT_EQ(served() - served_before, 4u);
 }
 
 // ---------------------------------------------------------------------------

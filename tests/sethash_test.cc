@@ -72,24 +72,35 @@ TEST(SignatureTest, SignatureIsOrderIndependent) {
 }
 
 TEST(SignatureTest, UnionSignatureIsComponentwiseMin) {
+  // The signature of A ∪ B is the component-wise minimum of the two
+  // signatures: the fold the CST count pass uses to merge a node's
+  // signature from its occurrences.
   SetHashFamily family(16, 1);
   const Signature a = family.SignatureOf(Range(0, 50));
-  const Signature b = family.SignatureOf(Range(50, 100));
-  const Signature u = UnionSignature({&a, &b});
-  EXPECT_EQ(u, family.SignatureOf(Range(0, 100)));
+  const Signature b = family.SignatureOf(Range(40, 100));
+  Signature folded = a;
+  for (size_t i = 0; i < folded.size(); ++i) {
+    folded[i] = std::min(folded[i], b[i]);
+  }
+  EXPECT_EQ(family.SignatureOf(Range(0, 100)), folded);
 }
+
+// Resemblance |∩|/|∪| as EstimateIntersectionSize reports it.
 
 TEST(ResemblanceTest, IdenticalSetsHaveResemblanceOne) {
   SetHashFamily family(64, 1);
   const Signature a = family.SignatureOf(Range(0, 100));
-  EXPECT_DOUBLE_EQ(EstimateResemblance({&a, &a}), 1.0);
+  EXPECT_DOUBLE_EQ(
+      EstimateIntersectionSize({{&a, 100.0}, {&a, 100.0}}).resemblance, 1.0);
 }
 
 TEST(ResemblanceTest, DisjointSetsNearZero) {
   SetHashFamily family(128, 1);
   const Signature a = family.SignatureOf(Range(0, 1000));
   const Signature b = family.SignatureOf(Range(1000, 2000));
-  EXPECT_LT(EstimateResemblance({&a, &b}), 0.05);
+  EXPECT_LT(
+      EstimateIntersectionSize({{&a, 1000.0}, {&b, 1000.0}}).resemblance,
+      0.05);
 }
 
 TEST(ResemblanceTest, TracksTrueOverlap) {
@@ -97,8 +108,9 @@ TEST(ResemblanceTest, TracksTrueOverlap) {
   // |A| = 1000, |B| = 1000, |A ∩ B| = 500, |A ∪ B| = 1500 -> rho = 1/3.
   const Signature a = family.SignatureOf(Range(0, 1000));
   const Signature b = family.SignatureOf(Range(500, 1500));
-  EXPECT_NEAR(EstimateResemblance({&a, &b}),
-              ExactResemblance(1000, 500, 1500), 0.08);
+  EXPECT_NEAR(
+      EstimateIntersectionSize({{&a, 1000.0}, {&b, 1000.0}}).resemblance,
+      ExactResemblance(1000, 500, 1500), 0.08);
 }
 
 TEST(ResemblanceTest, ThreeWay) {
@@ -107,13 +119,17 @@ TEST(ResemblanceTest, ThreeWay) {
   const Signature b = family.SignatureOf(Range(300, 1200));
   const Signature c = family.SignatureOf(Range(600, 1500));
   // Intersection [600, 900) = 300; union [0, 1500) = 1500 -> 0.2.
-  EXPECT_NEAR(EstimateResemblance({&a, &b, &c}), 0.2, 0.07);
+  EXPECT_NEAR(EstimateIntersectionSize({{&a, 900.0}, {&b, 900.0}, {&c, 900.0}})
+                  .resemblance,
+              0.2, 0.07);
 }
 
 TEST(ResemblanceTest, EmptySignatureComponentsIgnored) {
   SetHashFamily family(16, 1);
   const Signature empty = family.EmptySignature();
-  EXPECT_DOUBLE_EQ(EstimateResemblance({&empty, &empty}), 0.0);
+  const auto est = EstimateIntersectionSize({{&empty, 1.0}, {&empty, 1.0}});
+  EXPECT_DOUBLE_EQ(est.resemblance, 0.0);
+  EXPECT_EQ(est.matching_components, 0u);
 }
 
 TEST(IntersectionTest, SingleSetReturnsItsSize) {

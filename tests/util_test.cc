@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "util/flags.h"
@@ -242,74 +238,6 @@ TEST(ThreadPoolTest, ReusableAcrossBatchesAndHandlesEmpty) {
                      [&](size_t item, size_t) { hits[item] += 1; });
     for (int h : hits) EXPECT_EQ(h, 1);
   }
-}
-
-TEST(ThreadPoolTest, ShutdownIsIdempotentAndThenRunsInline) {
-  util::ThreadPool pool(2);
-  pool.Shutdown(/*drain=*/true);
-  pool.Shutdown(/*drain=*/true);  // second call is a no-op
-  EXPECT_EQ(pool.size(), 0u);
-  // After Shutdown, ParallelFor degrades to an inline loop on the
-  // calling thread (worker index 0).
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<int> hits(100, 0);
-  pool.ParallelFor(hits.size(), [&](size_t item, size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    hits[item] += 1;
-  });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, ShutdownWithDrainCompletesInFlightBatch) {
-  util::ThreadPool pool(2);
-  std::atomic<size_t> visited{0};
-  std::atomic<bool> batch_started{false};
-  std::thread caller([&] {
-    pool.ParallelFor(2000, [&](size_t, size_t) {
-      batch_started.store(true);
-      visited.fetch_add(1);
-    });
-  });
-  while (!batch_started.load()) std::this_thread::yield();
-  pool.Shutdown(/*drain=*/true);  // must not strand the caller
-  caller.join();
-  EXPECT_EQ(visited.load(), 2000u);
-}
-
-TEST(ThreadPoolTest, ShutdownWithoutDrainAbandonsUnclaimedItems) {
-  util::ThreadPool pool(1);
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool started = false;
-  bool release = false;
-  std::atomic<size_t> visited{0};
-  std::thread caller([&] {
-    pool.ParallelFor(100000, [&](size_t, size_t) {
-      visited.fetch_add(1);
-      std::unique_lock<std::mutex> lock(mutex);
-      started = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
-    });
-  });
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return started; });
-  }
-  // The single worker is parked inside item 0; Shutdown(false) abandons
-  // the unclaimed tail, so once the worker is released the batch ends
-  // after only the in-progress items.
-  std::thread shutdown([&] { pool.Shutdown(/*drain=*/false); });
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
-  shutdown.join();
-  caller.join();
-  EXPECT_LT(visited.load(), 100000u);
-  EXPECT_GE(visited.load(), 1u);
 }
 
 TEST(FlagParserTest, ParsesEveryFlagKind) {
