@@ -1,8 +1,9 @@
 // Section 6.5 timings, as google-benchmark micro-benchmarks:
-// construction (XML parse, path suffix tree, CST at 1% space) and per-query
-// estimation latency for each algorithm. The paper reports < 10 min
-// construction for 50 MB / Pentium II and ~1 ms per estimate; on
-// modern hardware both should be far faster at our scaled size.
+// construction (XML parse and size, path suffix tree, CST at 1% space and
+// unpruned) and per-query estimation latency for each algorithm. The
+// paper reports < 10 min construction for 50 MB / Pentium II and ~1 ms
+// per estimate; on modern hardware both should be far faster at our
+// scaled size.
 
 #include <benchmark/benchmark.h>
 
@@ -68,6 +69,16 @@ void BM_ParseXml(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseXml)->Unit(benchmark::kMillisecond);
 
+void BM_XmlByteSize(benchmark::State& state) {
+  const tree::Tree& data = SharedData();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xml::XmlByteSize(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kDataBytes));
+}
+BENCHMARK(BM_XmlByteSize)->Unit(benchmark::kMillisecond);
+
 void BM_BuildPathSuffixTree(benchmark::State& state) {
   const tree::Tree& data = SharedData();
   for (auto _ : state) {
@@ -81,11 +92,13 @@ BENCHMARK(BM_BuildPathSuffixTree)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_BuildCstAtOnePercent(benchmark::State& state) {
+/// Times Cst::Build over the shared tree at `space` of its XML size.
+void BuildCst(benchmark::State& state, double space) {
   const tree::Tree& data = SharedData();
   const auto& pst = SharedPst();
   cst::CstOptions options;
-  options.space_budget_bytes = xml::XmlByteSize(data) / 100;
+  options.space_budget_bytes =
+      static_cast<size_t>(space * static_cast<double>(xml::XmlByteSize(data)));
   for (auto _ : state) {
     auto summary = cst::Cst::Build(data, pst, options);
     benchmark::DoNotOptimize(summary.node_count());
@@ -93,7 +106,15 @@ void BM_BuildCstAtOnePercent(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kDataBytes));
 }
+
+void BM_BuildCstAtOnePercent(benchmark::State& state) { BuildCst(state, 0.01); }
 BENCHMARK(BM_BuildCstAtOnePercent)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Space 1.0, the build behind a paged store.
+void BM_BuildCstUnpruned(benchmark::State& state) { BuildCst(state, 1.0); }
+BENCHMARK(BM_BuildCstUnpruned)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -123,8 +123,15 @@ struct CountPartial {
   /// Last walk root that counted toward a node's C_p. A walk never
   /// leaves its worker, so a per-worker marker dedups exactly.
   std::vector<NodeId> last_root;
-  /// The walk root's L component hashes, reused across roots.
+  /// The walk root's L component hashes, reused across roots, and the
+  /// smallest of them.
   std::vector<uint32_t> hashes;
+  uint32_t min_hash = sethash::kEmptyComponent;
+  /// Per signature, a bound on every component: the largest component
+  /// this worker saw when it last folded into the signature. Components
+  /// only fall, so the bound holds, and a root whose smallest hash is
+  /// at least the bound lowers nothing.
+  std::vector<uint32_t> ceiling;
 };
 
 }  // namespace
@@ -142,6 +149,7 @@ void Cst::AccumulateCounts(const Tree& data,
     p.co.assign(nodes_.size(), 0);
     p.last_root.assign(nodes_.size(), tree::kNullNode);
     p.hashes.resize(length);
+    p.ceiling.assign(signatures_.size(), sethash::kEmptyComponent);
   }
 
   // Counts walk roots [block * kCountBlockRoots, ...) into `worker`'s
@@ -157,11 +165,12 @@ void Cst::AccumulateCounts(const Tree& data,
       p.last_root[c] = walk_root;
       ++p.cp[c];
       const uint32_t index = nodes_[c].signature_index;
-      if (index == kNoSignature) return;
+      if (index == kNoSignature || p.min_hash >= p.ceiling[index]) return;
       // Workers fold into the shared signatures by atomic min, which
-      // reaches the same minima in any order. Once a component has
-      // settled, the relaxed load alone turns almost every hash away.
+      // reaches the same minima in any order. After its loop a
+      // component is at most min(seen, hash), and stays so.
       uint32_t* sig = signatures_[index].data();
+      uint32_t ceiling = 0;
       for (size_t i = 0; i < length; ++i) {
         std::atomic_ref<uint32_t> component(sig[i]);
         uint32_t seen = component.load(std::memory_order_relaxed);
@@ -169,7 +178,9 @@ void Cst::AccumulateCounts(const Tree& data,
                !component.compare_exchange_weak(seen, p.hashes[i],
                                                 std::memory_order_relaxed)) {
         }
+        ceiling = std::max(ceiling, std::min(seen, p.hashes[i]));
       }
+      p.ceiling[index] = ceiling;
     };
 
     // Extends a walk over the (capped) prefix of a value string.
@@ -222,7 +233,11 @@ void Cst::AccumulateCounts(const Tree& data,
       // Tag-rooted subpaths: one walk rooted at element node n.
       CstNodeId c0 = Step(root(), TagSymbol(data.Label(n)));
       if (c0 == kNoCstNode) continue;
-      for (size_t i = 0; i < length; ++i) p.hashes[i] = family.Hash(i, n);
+      p.min_hash = sethash::kEmptyComponent;
+      for (size_t i = 0; i < length; ++i) {
+        p.hashes[i] = family.Hash(i, n);
+        p.min_hash = std::min(p.min_hash, p.hashes[i]);
+      }
       walk(walk, n, c0, n);
     }
   };

@@ -200,7 +200,8 @@ class Cst final : public CstView {
   /// Stage two: walk the data tree accumulating C_p / C_o / signatures
   /// for the retained nodes, blocks of walk roots spread over a thread
   /// pool sized to the machine. Each worker counts into its own C_p /
-  /// C_o partials; signatures fold in place by atomic min.
+  /// C_o partials; signatures fold in place by atomic min, skipped when
+  /// the worker's ceiling for the signature shows a fold lowers nothing.
   void AccumulateCounts(const tree::Tree& data,
                         const sethash::SetHashFamily& family);
 

@@ -1,6 +1,6 @@
 #include "xml/xml.h"
 
-#include <cctype>
+#include <array>
 #include <charconv>
 #include <cstdint>
 #include <string>
@@ -13,6 +13,14 @@ using tree::kNullNode;
 using tree::NodeId;
 using tree::Tree;
 using tree::TreeBuilder;
+
+// The C locale's isspace, isalpha and isalnum, as inline compares: the
+// parser classifies every byte of the document.
+constexpr bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+constexpr bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool IsAlnum(char c) { return IsAlpha(c) || (c >= '0' && c <= '9'); }
 
 /// True if `code` is a character XML 1.0's Char production allows.
 bool IsXmlChar(uint32_t code) {
@@ -37,6 +45,41 @@ void AppendUtf8(uint32_t code, std::string* out) {
   }
 }
 
+/// True if text content reads the same once decoded and normalized: it
+/// holds no '&' and no whitespace but single spaces between other
+/// bytes. Empty text is not plain.
+bool IsPlainText(std::string_view raw) {
+  bool after_space = true;  // a leading space is not plain
+  for (char c : raw) {
+    if (c == ' ') {
+      if (after_space) return false;
+      after_space = true;
+    } else if (c == '&' || IsSpace(c)) {
+      return false;
+    } else {
+      after_space = false;
+    }
+  }
+  return !after_space;
+}
+
+/// Collapses each run of whitespace in `text` to one space and drops
+/// leading and trailing whitespace, in place.
+void NormalizeWhitespace(std::string* text) {
+  size_t out = 0;
+  bool in_space = false;
+  for (char c : *text) {
+    if (IsSpace(c)) {
+      in_space = true;
+      continue;
+    }
+    if (in_space && out > 0) (*text)[out++] = ' ';
+    in_space = false;
+    (*text)[out++] = c;
+  }
+  text->resize(out);
+}
+
 /// Internal cursor over the document with error reporting.
 class Parser {
  public:
@@ -44,8 +87,8 @@ class Parser {
       : input_(input), options_(options) {}
 
   Result<Tree> Parse() && {
-    SkipProlog();
-    Status s = ParseElement(kNullNode);
+    SkipMisc();
+    Status s = ParseElement(kNullNode, 1);
     if (!s.ok()) return s;
     SkipMisc();
     if (!AtEnd()) {
@@ -68,9 +111,7 @@ class Parser {
   }
 
   void SkipWhitespace() {
-    while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
-      ++pos_;
-    }
+    while (!AtEnd() && IsSpace(Peek())) ++pos_;
   }
 
   /// Skips comments, PIs and whitespace between markup.
@@ -114,14 +155,9 @@ class Parser {
     }
   }
 
-  void SkipProlog() { SkipMisc(); }
-
-  static bool IsNameStart(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-  }
+  static bool IsNameStart(char c) { return IsAlpha(c) || c == '_' || c == ':'; }
   static bool IsNameChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == ':' || c == '-' || c == '.';
+    return IsAlnum(c) || c == '_' || c == ':' || c == '-' || c == '.';
   }
 
   Result<std::string_view> ParseName() {
@@ -132,21 +168,18 @@ class Parser {
   }
 
   /// Decodes entity and character references in `raw`, a view into the
-  /// input, into `out`.
-  Status DecodeText(std::string_view raw, std::string* out) {
-    for (size_t i = 0; i < raw.size();) {
-      char c = raw[i];
-      if (c != '&') {
-        out->push_back(c);
-        ++i;
-        continue;
-      }
-      const size_t at = static_cast<size_t>(raw.data() - input_.data()) + i;
-      size_t semi = raw.find(';', i + 1);
+  /// input, appending the result to `out`.
+  Status DecodeText(std::string_view raw, std::string* out) const {
+    for (size_t i = 0;;) {
+      const size_t amp = raw.find('&', i);
+      out->append(raw.substr(i, amp - i));  // to the end when amp is npos
+      if (amp == std::string_view::npos) return Status::OK();
+      const size_t at = static_cast<size_t>(raw.data() - input_.data()) + amp;
+      size_t semi = raw.find(';', amp + 1);
       if (semi == std::string_view::npos) {
         return ErrorAt("unterminated entity reference", at);
       }
-      std::string_view ent = raw.substr(i + 1, semi - i - 1);
+      std::string_view ent = raw.substr(amp + 1, semi - amp - 1);
       if (ent == "amp") {
         out->push_back('&');
       } else if (ent == "lt") {
@@ -179,39 +212,23 @@ class Parser {
       }
       i = semi + 1;
     }
-    return Status::OK();
   }
 
-  /// Appends text content to `parent`, applying whitespace policy.
-  Status EmitText(NodeId parent, std::string_view raw) {
-    std::string decoded;
-    Status s = DecodeText(raw, &decoded);
+  /// Adds `raw` under `parent` as a value node: decoded and, for text
+  /// content (`normalize`), whitespace-normalized, and left out when
+  /// that empties it. When neither step would change `raw`, it goes in
+  /// as a view of the input; otherwise the value is built in text_.
+  Status EmitValue(NodeId parent, std::string_view raw, bool normalize) {
+    if (normalize ? IsPlainText(raw)
+                  : raw.find('&') == std::string_view::npos) {
+      if (!raw.empty()) builder_.AddValue(parent, raw);
+      return Status::OK();
+    }
+    text_.clear();
+    Status s = DecodeText(raw, &text_);
     if (!s.ok()) return s;
-    if (options_.normalize_text_whitespace) {
-      std::string norm;
-      bool in_space = false;
-      for (char c : decoded) {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-          in_space = true;
-          continue;
-        }
-        if (in_space && !norm.empty()) norm.push_back(' ');
-        in_space = false;
-        norm.push_back(c);
-      }
-      decoded = std::move(norm);
-    }
-    if (options_.skip_whitespace_text) {
-      bool all_space = true;
-      for (char c : decoded) {
-        if (!std::isspace(static_cast<unsigned char>(c))) {
-          all_space = false;
-          break;
-        }
-      }
-      if (all_space) return Status::OK();
-    }
-    if (!decoded.empty()) builder_.AddValue(parent, decoded);
+    if (normalize) NormalizeWhitespace(&text_);
+    if (!text_.empty()) builder_.AddValue(parent, text_);
     return Status::OK();
   }
 
@@ -229,35 +246,34 @@ class Parser {
       if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
         return Error("expected quoted attribute value");
       }
-      char quote = Peek();
-      ++pos_;
-      size_t start = pos_;
-      while (!AtEnd() && Peek() != quote) ++pos_;
-      if (AtEnd()) return Error("unterminated attribute value");
+      const size_t start = pos_ + 1;
+      pos_ = input_.find(Peek(), start);
+      if (pos_ == std::string_view::npos) {
+        pos_ = input_.size();
+        return Error("unterminated attribute value");
+      }
       std::string_view raw = input_.substr(start, pos_ - start);
       ++pos_;  // closing quote
       if (options_.attributes_as_children) {
-        NodeId attr = builder_.AddElement(element, *name);
-        std::string decoded;
-        Status s = DecodeText(raw, &decoded);
+        Status s = EmitValue(builder_.AddElement(element, *name), raw,
+                             /*normalize=*/false);
         if (!s.ok()) return s;
-        if (!decoded.empty()) builder_.AddValue(attr, decoded);
       }
     }
   }
 
-  Status ParseContent(NodeId element) {
-    size_t text_start = pos_;
+  Status ParseContent(NodeId element, size_t depth) {
     while (true) {
-      if (AtEnd()) return Error("unterminated element content");
-      if (Peek() != '<') {
-        ++pos_;
-        continue;
+      const size_t text_start = pos_;
+      pos_ = input_.find('<', pos_);
+      if (pos_ == std::string_view::npos) {
+        pos_ = input_.size();
+        return Error("unterminated element content");
       }
-      // Flush pending text.
       if (pos_ > text_start) {
-        Status s =
-            EmitText(element, input_.substr(text_start, pos_ - text_start));
+        Status s = EmitValue(
+            element, input_.substr(text_start, pos_ - text_start),
+            /*normalize=*/true);
         if (!s.ok()) return s;
       }
       if (Lookahead("</")) return Status::OK();  // caller consumes end tag
@@ -276,15 +292,19 @@ class Parser {
         if (end == std::string_view::npos) return Error("unterminated PI");
         pos_ = end + 2;
       } else {
-        Status s = ParseElement(element);
+        Status s = ParseElement(element, depth + 1);
         if (!s.ok()) return s;
       }
-      text_start = pos_;
     }
   }
 
-  Status ParseElement(NodeId parent) {
+  /// Parses the element whose '<' is at pos_, `depth` levels deep.
+  Status ParseElement(NodeId parent, size_t depth) {
     if (AtEnd() || Peek() != '<') return Error("expected '<'");
+    if (depth > kMaxXmlDepth) {
+      return Error("element nesting deeper than " +
+                   std::to_string(kMaxXmlDepth) + " levels");
+    }
     ++pos_;
     auto name = ParseName();
     if (!name.ok()) return name.status();
@@ -298,7 +318,7 @@ class Parser {
     }
     if (AtEnd() || Peek() != '>') return Error("expected '>'");
     ++pos_;
-    s = ParseContent(element);
+    s = ParseContent(element, depth);
     if (!s.ok()) return s;
     // Consume "</name>".
     pos_ += 2;
@@ -318,10 +338,11 @@ class Parser {
   const XmlParseOptions& options_;
   size_t pos_ = 0;
   TreeBuilder builder_;
+  std::string text_;  // decode buffer, reused by every value that needs it
 };
 
 /// The entity EscapeXml writes for `c`, or "" when `c` stands as is.
-std::string_view EntityFor(char c) {
+constexpr std::string_view EntityFor(char c) {
   switch (c) {
     case '&':
       return "&amp;";
@@ -338,70 +359,61 @@ std::string_view EntityFor(char c) {
   }
 }
 
-/// Shared serialization walker for WriteXml and XmlByteSize.
-template <typename Sink>
+/// Bytes each byte value takes once escaped.
+constexpr std::array<uint8_t, 256> kEscapedBytes = [] {
+  std::array<uint8_t, 256> bytes{};
+  for (size_t c = 0; c < bytes.size(); ++c) {
+    const size_t entity = EntityFor(static_cast<char>(c)).size();
+    bytes[c] = static_cast<uint8_t>(entity == 0 ? 1 : entity);
+  }
+  return bytes;
+}();
+
+void AppendEscaped(std::string_view text, std::string* out) {
+  for (char c : text) {
+    const std::string_view entity = EntityFor(c);
+    if (entity.empty()) {
+      out->push_back(c);
+    } else {
+      out->append(entity);
+    }
+  }
+}
+
 void Serialize(const Tree& tree, NodeId n, int depth, bool pretty,
-               Sink& sink) {
+               std::string* out) {
   if (tree.IsValue(n)) {
-    sink.Escaped(tree.Value(n));
+    AppendEscaped(tree.Value(n), out);
     return;
   }
   std::string_view tag = tree.LabelName(n);
-  if (pretty) sink.Indent(depth);
-  sink.Text("<");
-  sink.Text(tag);
+  const size_t indent = static_cast<size_t>(depth) * 2;
+  if (pretty) out->append(indent, ' ');
+  out->push_back('<');
+  out->append(tag);
   const auto children = tree.Children(n);
   if (children.empty()) {
-    sink.Text("/>");
-    if (pretty) sink.Text("\n");
+    out->append("/>");
+    if (pretty) out->push_back('\n');
     return;
   }
-  sink.Text(">");
+  out->push_back('>');
   const bool has_element_child = [&] {
     for (NodeId c : children) {
       if (!tree.IsValue(c)) return true;
     }
     return false;
   }();
-  if (pretty && has_element_child) sink.Text("\n");
+  if (pretty && has_element_child) out->push_back('\n');
   for (NodeId c : children) {
-    Serialize(tree, c, depth + 1, pretty && has_element_child, sink);
+    Serialize(tree, c, depth + 1, pretty && has_element_child, out);
   }
-  if (pretty && has_element_child) sink.Indent(depth);
-  sink.Text("</");
-  sink.Text(tag);
-  sink.Text(">");
-  if (pretty) sink.Text("\n");
+  if (pretty && has_element_child) out->append(indent, ' ');
+  out->append("</");
+  out->append(tag);
+  out->push_back('>');
+  if (pretty) out->push_back('\n');
 }
-
-struct StringSink {
-  std::string out;
-  void Text(std::string_view s) { out.append(s); }
-  void Escaped(std::string_view s) {
-    for (char c : s) {
-      const std::string_view entity = EntityFor(c);
-      if (entity.empty()) {
-        out.push_back(c);
-      } else {
-        out.append(entity);
-      }
-    }
-  }
-  void Indent(int depth) { out.append(static_cast<size_t>(depth) * 2, ' '); }
-};
-
-/// Counts bytes only: sizing a document allocates nothing.
-struct CountSink {
-  size_t bytes = 0;
-  void Text(std::string_view s) { bytes += s.size(); }
-  void Escaped(std::string_view s) {
-    for (char c : s) {
-      const size_t entity = EntityFor(c).size();
-      bytes += entity == 0 ? 1 : entity;
-    }
-  }
-  void Indent(int depth) { bytes += static_cast<size_t>(depth) * 2; }
-};
 
 }  // namespace
 
@@ -411,24 +423,32 @@ Result<tree::Tree> ParseXml(std::string_view input,
 }
 
 std::string WriteXml(const tree::Tree& tree, const XmlWriteOptions& options) {
-  if (tree.empty()) return "";
-  StringSink sink;
-  Serialize(tree, tree.root(), 0, options.pretty, sink);
-  return std::move(sink.out);
+  std::string out;
+  if (!tree.empty()) Serialize(tree, tree.root(), 0, options.pretty, &out);
+  return out;
 }
 
 size_t XmlByteSize(const tree::Tree& tree) {
-  if (tree.empty()) return 0;
-  CountSink sink;
-  Serialize(tree, tree.root(), 0, /*pretty=*/false, sink);
-  return sink.bytes;
+  size_t bytes = 0;
+  for (NodeId n = 0; n < tree.size(); ++n) {
+    if (tree.IsValue(n)) {
+      for (char c : tree.Value(n)) {
+        bytes += kEscapedBytes[static_cast<unsigned char>(c)];
+      }
+      continue;
+    }
+    // "<tag>" and "</tag>", or "<tag/>" when the element has no child.
+    const size_t tag = tree.LabelName(n).size();
+    bytes += tree.Children(n).empty() ? tag + 3 : 2 * tag + 5;
+  }
+  return bytes;
 }
 
 std::string EscapeXml(std::string_view text) {
-  StringSink sink;
-  sink.out.reserve(text.size());
-  sink.Escaped(text);
-  return std::move(sink.out);
+  std::string out;
+  out.reserve(text.size());
+  AppendEscaped(text, &out);
+  return out;
 }
 
 }  // namespace twig::xml

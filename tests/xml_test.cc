@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
+#include <random>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "data/generators.h"
 #include "xml/xml.h"
@@ -122,6 +126,132 @@ TEST(XmlParseTest, TextWhitespaceNormalized) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->Value(result->Children(result->root())[0]),
             "Morgan Kaufmann");
+}
+
+/// Decodes the references TextRun writes, one byte at a time.
+std::string ReferenceDecode(std::string_view raw) {
+  static const std::map<std::string_view, std::string_view> kRefs = {
+      {"&amp;", "&"},       {"&lt;", "<"},         {"&#9;", "\t"},
+      {"&#x20;", " "},      {"&#xE9;", "\xC3\xA9"}, {"&foo;", "&foo;"}};
+  std::string out;
+  for (size_t i = 0; i < raw.size();) {
+    if (raw[i] != '&') {
+      out.push_back(raw[i++]);
+      continue;
+    }
+    const size_t end = raw.find(';', i) + 1;
+    out += kRefs.at(raw.substr(i, end - i));
+    i = end;
+  }
+  return out;
+}
+
+/// Collapses each run of isspace bytes to one space and trims the ends.
+std::string ReferenceNormalize(std::string_view text) {
+  std::string out;
+  bool in_space = false;
+  for (char c : text) {
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      in_space = true;
+      continue;
+    }
+    if (in_space && !out.empty()) out.push_back(' ');
+    in_space = false;
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// A run of 1-7 text pieces. Even runs draw only from the first
+/// kPlainPieces (letters, single spaces, multibyte UTF-8), so that many
+/// need no decoding; odd runs draw from all.
+std::string TextRun(std::mt19937& rng, int run) {
+  static constexpr std::string_view kPieces[] = {
+      "a", "Zq", "x7", " ", "\xC3\xA9", "\xE2\x82\xAC",
+      "  ", "    ", "\t", "\n", "\r", "\r\n", "&amp;", "&lt;", "&#9;",
+      "&#x20;", "&#xE9;", "&foo;"};
+  constexpr size_t kPlainPieces = 6;
+  const size_t choices = run % 2 == 0 ? kPlainPieces : std::size(kPieces);
+  std::string raw;
+  const size_t pieces = 1 + rng() % 7;
+  for (size_t i = 0; i < pieces; ++i) raw += kPieces[rng() % choices];
+  return raw;
+}
+
+/// The children of `n`, an element as "<tag>" and a value as itself.
+std::vector<std::string> ChildTexts(const Tree& t, NodeId n) {
+  std::vector<std::string> out;
+  for (NodeId c : t.Children(n)) {
+    out.push_back(t.IsValue(c) ? std::string(t.Value(c))
+                               : "<" + std::string(t.LabelName(c)) + ">");
+  }
+  return out;
+}
+
+TEST(XmlParseTest, TextDecodingMatchesByteAtATimeReference) {
+  // Text that needs no decoding skips the decode buffer; everything
+  // else takes it. Either way a value must be what decoding, then
+  // (for element text) normalizing, gives, and empty text adds nothing.
+  std::mt19937 rng(19);
+  size_t unchanged = 0;
+  for (int run = 0; run < 4000; ++run) {
+    const std::string raw = TextRun(rng, run);
+    const std::string decoded = ReferenceDecode(raw);
+    const std::string text = ReferenceNormalize(decoded);
+    unchanged += text == raw;
+    SCOPED_TRACE("run " + std::to_string(run) + ": \"" + raw + "\"");
+
+    auto element = ParseXml("<r>" + raw + "<c/>" + raw + "</r>");
+    ASSERT_TRUE(element.ok()) << element.status().ToString();
+    std::vector<std::string> want;
+    if (!text.empty()) want.push_back(text);
+    want.push_back("<c>");
+    if (!text.empty()) want.push_back(text);
+    EXPECT_EQ(ChildTexts(*element, element->root()), want);
+
+    auto attribute = ParseXml("<r a=\"" + raw + "\"/>");
+    ASSERT_TRUE(attribute.ok()) << attribute.status().ToString();
+    ASSERT_EQ(ChildTexts(*attribute, attribute->root()),
+              std::vector<std::string>{"<a>"});
+    want.clear();
+    if (!decoded.empty()) want.push_back(decoded);
+    EXPECT_EQ(ChildTexts(*attribute, attribute->Children(attribute->root())[0]),
+              want);
+  }
+  // Both kinds of text occur often.
+  EXPECT_GT(unchanged, 1000u);
+  EXPECT_LT(unchanged, 3000u);
+}
+
+/// `depth` nested <a> elements around one text node.
+std::string NestedDocument(size_t depth) {
+  std::string xml;
+  for (size_t i = 0; i < depth; ++i) xml += "<a>";
+  xml += "x";
+  for (size_t i = 0; i < depth; ++i) xml += "</a>";
+  return xml;
+}
+
+TEST(XmlParseTest, NestingDeeperThanTheLimitIsError) {
+  auto at_limit = ParseXml(NestedDocument(kMaxXmlDepth));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->size(), kMaxXmlDepth + 1);
+
+  // The error names the '<' of the first element over the limit.
+  auto over = ParseXml(NestedDocument(kMaxXmlDepth + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(over.status().message(),
+            "element nesting deeper than 1024 levels at byte " +
+                std::to_string(3 * kMaxXmlDepth));
+}
+
+TEST(XmlParseTest, HostileNestingFailsWithoutExhaustingTheStack) {
+  // A million levels: a parser recursing once per level without a
+  // bound overflows its stack long before the end.
+  auto result = ParseXml(NestedDocument(1000000));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
 
 TEST(XmlParseTest, MismatchedTagIsError) {
