@@ -40,6 +40,7 @@
 #include "serve/retry.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
+#include "storage/page_writer.h"
 #include "util/failpoint.h"
 #include "util/flags.h"
 
@@ -81,7 +82,7 @@ constexpr char kUsage[] =
     "               estimate faults with probability P (e.g. 0.1) and\n"
     "               measure goodput with and without client retry\n"
     "  --cold-start compare time-to-first-answer from a serialized CST:\n"
-    "               TWCST02 full deserialize vs TWCST03 mmap + page-in\n"
+    "               TWCST02 full deserialize vs TWCST03 open + page-in\n"
     "  --count=N    zipf/faults: total requests per run (default 20000)\n"
     "  --workers=N  zipf/faults: estimation workers (default 2)\n"
     "  --retries=N  faults: retry attempts per request (default 3)\n"
@@ -460,17 +461,10 @@ std::string TempPath(const char* name) {
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
 }
 
-bool WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  return static_cast<bool>(out);
-}
-
 /// Time-to-first-answer from a serialized CST on disk: the whole-blob
 /// TWCST02 path (read the file, deserialize everything, answer) versus
-/// the paged TWCST03 path (mmap, pin the handful of pages one walk
-/// touches, answer). The paged path's advantage grows with store size
+/// the paged TWCST03 path (open, read the handful of pages one walk
+/// touches into the pool, answer). The paged path's advantage grows with store size
 /// — it does O(query) work where deserialization does O(store).
 int RunColdStart(size_t bytes, double buffer_mb) {
   exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp, bytes,
@@ -492,7 +486,8 @@ int RunColdStart(size_t bytes, double buffer_mb) {
   }
   const std::string path02 = TempPath("bench_serve_cold.twcst02");
   const std::string path03 = TempPath("bench_serve_cold.twcst03");
-  if (!WriteFile(path02, blob02) || !WriteFile(path03, blob03.value())) {
+  if (!storage::WriteStoreFile(path02, blob02).ok() ||
+      !storage::WriteStoreFile(path03, blob03.value()).ok()) {
     std::printf("FAILED: cannot write stores under $TMPDIR\n");
     return 1;
   }
@@ -543,7 +538,7 @@ int RunColdStart(size_t bytes, double buffer_mb) {
 
   std::printf("  TWCST02 parse: %9.3f ms to first answer\n",
               1e3 * parse_seconds);
-  std::printf("  TWCST03 mmap:  %9.3f ms to first answer "
+  std::printf("  TWCST03 open:  %9.3f ms to first answer "
               "(buffer %.1f MiB)\n",
               1e3 * paged_seconds, buffer_mb);
   std::printf("  speedup: %.1fx\n", parse_seconds / paged_seconds);

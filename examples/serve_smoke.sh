@@ -255,9 +255,10 @@ wait "$SERVE_PID" 2>/dev/null || fail "fault server exited nonzero"
 # ground truth; then a server that writes the same summary to a
 # TWCST03 store and serves it through a deliberately tiny buffer pool
 # (4 frames of 1 KiB), so answers must be bit-identical while the pool
-# demonstrably evicts. Then corrupt reads are injected over the wire:
-# estimates must fail as structured errors (never wrong answers) and
-# health must degrade with a storage reason, recovering on swap.
+# demonstrably evicts, and swaps under load replace the store by
+# rename. Then corrupt reads are injected over the wire: estimates
+# must fail as structured errors (never wrong answers) and health must
+# degrade with a storage reason, recovering on swap.
 rm -f "$PORT_FILE"
 LOG="$WORK/serve_memory_ref.log"
 "$SERVE" --port=0 --port-file="$PORT_FILE" --bytes=131072 --workers=2 \
@@ -322,6 +323,12 @@ case "$METRICS" in
   *) fail "metrics response lacks storage counters: $METRICS" ;;
 esac
 
+# The pool is the only copy of the store the server holds: pages are
+# read into it with pread, so no mapping names the store file.
+if grep -F "$STORE" "/proc/$SERVE_PID/maps" >/dev/null; then
+    fail "paged server maps its store: $(grep -F "$STORE" "/proc/$SERVE_PID/maps")"
+fi
+
 # Injected checksum corruption: estimates turn into structured errors
 # (degraded reads never silently skew an answer)...
 "$CLIENT" --port="$PORT" --op=failpoint --spec='storage/checksum=error' \
@@ -337,7 +344,7 @@ case "$HEALTH" in
 esac
 
 # Disarm; reads work again (failed pages were never cached), and a
-# swap — rebuild, rewrite the store, reopen — clears the degradation.
+# swap — rebuild, replace the store, reopen — clears the degradation.
 "$CLIENT" --port="$PORT" --op=failpoint --spec='storage/checksum=off' \
     || fail "failpoint disarm (storage/checksum) failed"
 "$CLIENT" --port="$PORT" --op=estimate --query='article(author, year)' \
@@ -349,6 +356,19 @@ case "$HEALTH" in
   *) fail "paged health did not recover after swap: $HEALTH" ;;
 esac
 
+# A hot swap to another space under load. The rebuild writes the new
+# store beside the served one and renames it into place, so the
+# snapshot still serving keeps reading its own file; a reader that
+# followed a rewritten file would serve one version two distinct
+# estimates, which fails the bench.
+"$CLIENT" --port="$PORT" --bench --count=1000 --threads=4 --swap-at=300 \
+    --space=0.02 || fail "paged bench with hot swap failed"
+HEALTH=$("$CLIENT" --port="$PORT" --op=health) || fail "health verb failed"
+case "$HEALTH" in
+  *'"state":"ok"'*) : ;;
+  *) fail "paged health is not ok after a swap under load: $HEALTH" ;;
+esac
+
 "$CLIENT" --port="$PORT" --op=shutdown || fail "paged shutdown op failed"
 tries=0
 while kill -0 "$SERVE_PID" 2>/dev/null; do
@@ -357,6 +377,9 @@ while kill -0 "$SERVE_PID" 2>/dev/null; do
     sleep 0.1
 done
 wait "$SERVE_PID" 2>/dev/null || fail "paged server exited nonzero"
+# Every store write renamed its temporary file into place.
+LEFTOVER=$(find "$WORK" -name '*.tmp.*')
+[ -z "$LEFTOVER" ] || fail "temporary store files left in $WORK: $LEFTOVER"
 
 # ---------------------------------------------------------------------------
 # Fifth run: multi-dataset, multi-tenant. One server hosts "default"

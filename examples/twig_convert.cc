@@ -20,6 +20,7 @@
 #include "cst/cst.h"
 #include "cst/paged_cst.h"
 #include "storage/page.h"
+#include "storage/page_writer.h"
 #include "util/flags.h"
 #include "util/strings.h"
 
@@ -148,14 +149,11 @@ int main(int argc, char** argv) {
     out_bytes = std::move(paged).value();
   }
 
-  std::ofstream out(options.out_path,
-                    std::ios::binary | std::ios::trunc);
-  out.write(out_bytes.data(),
-            static_cast<std::streamsize>(out_bytes.size()));
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "twig_convert: cannot write %s\n",
-                 options.out_path.c_str());
+  // Replaced by rename: a server reading --out keeps its open store.
+  if (Status written = storage::WriteStoreFile(options.out_path, out_bytes);
+      !written.ok()) {
+    std::fprintf(stderr, "twig_convert: cannot write %s: %s\n",
+                 options.out_path.c_str(), written.message().c_str());
     return 1;
   }
   std::printf("%s (%s) -> %s (%s, %s)\n", options.in_path.c_str(),

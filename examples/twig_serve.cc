@@ -37,6 +37,7 @@
 #include "serve/snapshot.h"
 #include "serve/tcp.h"
 #include "storage/page.h"
+#include "storage/page_writer.h"
 #include "suffix/path_suffix_tree.h"
 #include "tree/tree.h"
 #include "util/failpoint.h"
@@ -102,11 +103,12 @@ constexpr char kUsage[] =
     "                   serve/estimate=error:0.1,tcp/write=error:0.05\n"
     "                   (also settable at runtime via the failpoint verb)\n"
     "  --failpoint-seed=N seed probabilistic failpoint draws; 0 = default\n"
-    "  --store=FILE     serve a paged TWCST03 store (mmap, no document\n"
-    "                   parse; excludes --xml; swap re-opens the store)\n"
+    "  --store=FILE     serve a paged TWCST03 store (read page by page\n"
+    "                   into the buffer pool, no document parse;\n"
+    "                   excludes --xml; swap re-opens the store)\n"
     "  --store-out=FILE summarize the document, write the CST to FILE as\n"
     "                   TWCST03, and serve the paged store; swap rebuilds\n"
-    "                   and rewrites it\n"
+    "                   it and replaces FILE by rename\n"
     "  --buffer-mb=F    storage buffer pool size in MiB for paged serving\n"
     "                   (default 16; fractional values allowed)\n"
     "  --page-bytes=N   TWCST03 page size for --store-out (default "
@@ -183,20 +185,11 @@ cst::Cst BuildSummary(const tree::Tree& data,
   return cst::Cst::Build(data, pst, copt);
 }
 
-Status WriteStoreFile(const std::string& path, const std::string& blob) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  out.flush();
-  if (!out) return Status::Internal("short write to " + path);
-  return Status::OK();
-}
-
 /// Builds a CST at `space`, writes it to `path` as TWCST03, and opens
 /// a paged reader over the freshly written file. The swap op runs this
-/// end to end so the on-disk store always matches what is served.
+/// end to end so the on-disk store always matches what is served. The
+/// new store replaces the path by rename, so the snapshot still being
+/// served keeps reading the store it opened.
 Result<std::shared_ptr<const cst::CstView>> RebuildStore(
     const tree::Tree& data, const suffix::PathSuffixTree& pst,
     size_t xml_bytes, double space, const std::string& path,
@@ -204,7 +197,8 @@ Result<std::shared_ptr<const cst::CstView>> RebuildStore(
   const cst::Cst summary = BuildSummary(data, pst, xml_bytes, space);
   Result<std::string> blob = summary.SerializePaged(page_bytes);
   if (!blob.ok()) return blob.status();
-  if (Status written = WriteStoreFile(path, blob.value()); !written.ok()) {
+  if (Status written = storage::WriteStoreFile(path, blob.value());
+      !written.ok()) {
     return written;
   }
   cst::PagedCstOptions popt;

@@ -39,6 +39,18 @@ bool ReadPod(std::string_view payload, size_t* pos, T* out) {
   return true;
 }
 
+/// The error for a page pinned for one section that holds another's
+/// records. The section directory is outside input, and a section
+/// pointed at another section's pages would decode the wrong records.
+Status PageTypeMismatch(const std::string& name, uint32_t page_id,
+                        storage::PageType actual,
+                        storage::PageType expected) {
+  return Status::Corruption(name + ": page " + std::to_string(page_id) +
+                            " holds " + storage::PageTypeName(actual) +
+                            " records, not " +
+                            storage::PageTypeName(expected));
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- sniffer
@@ -227,8 +239,8 @@ Result<std::shared_ptr<PagedCst>> PagedCst::Open(
 
 Result<std::shared_ptr<PagedCst>> PagedCst::OpenFile(
     const std::string& path, const PagedCstOptions& options) {
-  Result<std::unique_ptr<storage::MmapPageSource>> source =
-      storage::MmapPageSource::Open(path);
+  Result<std::unique_ptr<storage::FilePageSource>> source =
+      storage::FilePageSource::Open(path);
   if (!source.ok()) return source.status();
   return Open(std::shared_ptr<const storage::PageSource>(
                   std::move(source.value())),
@@ -348,9 +360,13 @@ Status PagedCst::LoadLabels() {
   // resolution), so it is materialized once at Open rather than paged.
   std::string bytes;
   for (uint32_t p = 0; p < meta_.strings.page_count; ++p) {
-    Result<storage::PinnedPage> pin =
-        buffer_->Pin(source_id_, meta_.strings.first_page + p);
+    const uint32_t page_id = meta_.strings.first_page + p;
+    Result<storage::PinnedPage> pin = buffer_->Pin(source_id_, page_id);
     if (!pin.ok()) return pin.status();
+    if (pin.value().type() != meta_.strings.type) {
+      return PageTypeMismatch(source_->name(), page_id, pin.value().type(),
+                              meta_.strings.type);
+    }
     bytes.append(pin.value().payload(), pin.value().payload_bytes());
   }
   size_t pos = 0;
@@ -396,13 +412,18 @@ const char* PagedCst::PinRecord(const Section& section, uint64_t index,
                                    ": record index past section end"));
     return nullptr;
   }
-  Result<storage::PinnedPage> result =
-      buffer_->Pin(source_id_, section.first_page + static_cast<uint32_t>(page));
+  const uint32_t page_id = section.first_page + static_cast<uint32_t>(page);
+  Result<storage::PinnedPage> result = buffer_->Pin(source_id_, page_id);
   if (!result.ok()) {
     RecordError(result.status());
     return nullptr;
   }
   *pin = std::move(result.value());
+  if (pin->type() != section.type) {
+    RecordError(PageTypeMismatch(source_->name(), page_id, pin->type(),
+                                 section.type));
+    return nullptr;
+  }
   if (offset + section.record_bytes > pin->payload_bytes()) {
     RecordError(Status::Corruption(source_->name() +
                                    ": record past page payload"));

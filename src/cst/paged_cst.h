@@ -41,6 +41,7 @@
 #include "cst/cst.h"
 #include "cst/view.h"
 #include "storage/buffer_manager.h"
+#include "storage/page.h"
 #include "storage/page_source.h"
 #include "tree/label_table.h"
 
@@ -73,8 +74,10 @@ class PagedCst final : public CstView {
       std::shared_ptr<const storage::PageSource> source,
       const PagedCstOptions& options = {});
 
-  /// Opens a memory-mapped .twcst03 file (NotFound/Corruption with the
-  /// concrete reason, errno text included, on failure).
+  /// Opens a .twcst03 file, read page by page into the buffer pool
+  /// (NotFound/Corruption with the concrete reason, errno text
+  /// included, on failure). The reader holds the file's descriptor
+  /// until it is destroyed, so replacing the path does not disturb it.
   static Result<std::shared_ptr<PagedCst>> OpenFile(
       const std::string& path, const PagedCstOptions& options = {});
 
@@ -113,8 +116,10 @@ class PagedCst final : public CstView {
   const storage::BufferManager& buffer() const { return *buffer_; }
 
  private:
-  /// One section's location within the store.
+  /// One section's location within the store. `type` is fixed per
+  /// section; every page pinned for the section must carry it.
   struct Section {
+    storage::PageType type = storage::PageType::kMeta;
     uint32_t first_page = 0;
     uint32_t page_count = 0;
     uint32_t record_bytes = 0;
@@ -130,11 +135,11 @@ class PagedCst final : public CstView {
     uint32_t node_count = 0;
     uint32_t signature_count = 0;
     uint32_t label_count = 0;
-    Section nodes;
-    Section child_offsets;
-    Section child_entries;
-    Section signatures;
-    Section strings;
+    Section nodes{storage::PageType::kNodes};
+    Section child_offsets{storage::PageType::kChildOffsets};
+    Section child_entries{storage::PageType::kChildEntries};
+    Section signatures{storage::PageType::kSignatures};
+    Section strings{storage::PageType::kStrings};
   };
 
   /// The decoded fixed fields of one node record.
@@ -154,8 +159,8 @@ class PagedCst final : public CstView {
   Status LoadLabels();
 
   /// Pins the page holding record `index` of `section` and returns the
-  /// record's bytes via `pin` + pointer. Null on any storage error
-  /// (recorded).
+  /// record's bytes via `pin` + pointer. Null on any storage error,
+  /// including a page of another section's type (recorded).
   const char* PinRecord(const Section& section, uint64_t index,
                         storage::PinnedPage* pin) const;
   bool ReadNode(CstNodeId node, NodeRecord* out) const;
@@ -180,7 +185,7 @@ Result<std::shared_ptr<const CstView>> LoadCstBlob(
     std::string bytes, std::string name, const PagedCstOptions& options = {});
 
 /// Loads a serialized CST file of either format: sniffs the prefix,
-/// then Cst::Deserialize (whole read) or PagedCst::OpenFile (mmap).
+/// then Cst::Deserialize (whole read) or PagedCst::OpenFile (paged).
 Result<std::shared_ptr<const CstView>> LoadCstFile(
     const std::string& path, const PagedCstOptions& options = {});
 

@@ -38,6 +38,10 @@ uint32_t PinnedPage::payload_bytes() const {
   return static_cast<const BufferManager::Frame*>(frame_)->payload_bytes;
 }
 
+PageType PinnedPage::type() const {
+  return static_cast<const BufferManager::Frame*>(frame_)->type;
+}
+
 // ------------------------------------------------------- BufferManager
 
 size_t BufferManager::PageKeyHash::operator()(const PageKey& k) const {
@@ -182,6 +186,7 @@ Status BufferManager::LoadFrame(
   PageHeader header;
   DecodePageHeader(frame->data.data(), page_size_, &header);
   frame->payload_bytes = header.payload_bytes;
+  frame->type = header.type;
   return Status::OK();
 }
 

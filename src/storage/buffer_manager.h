@@ -69,6 +69,8 @@ class PinnedPage {
   /// The page's payload (past the header); valid while pinned.
   const char* payload() const;
   uint32_t payload_bytes() const;
+  /// The payload's record type, from the validated page header.
+  PageType type() const;
 
   void Release();
 
@@ -133,6 +135,7 @@ class BufferManager {
     uint64_t source_id = 0;
     uint32_t page_id = 0;
     uint32_t payload_bytes = 0;
+    PageType type = PageType::kMeta;
     FrameState state = FrameState::kFree;  // guarded by owning shard
     std::atomic<uint32_t> pin_count{0};
     std::atomic<bool> referenced{false};  // clock's second chance

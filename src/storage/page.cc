@@ -28,6 +28,24 @@ uint64_t GetU64(const char* p) {
 
 }  // namespace
 
+const char* PageTypeName(PageType type) {
+  switch (type) {
+    case PageType::kMeta:
+      return "meta";
+    case PageType::kNodes:
+      return "nodes";
+    case PageType::kChildOffsets:
+      return "child-offsets";
+    case PageType::kChildEntries:
+      return "child-entries";
+    case PageType::kSignatures:
+      return "signatures";
+    case PageType::kStrings:
+      return "strings";
+  }
+  return "unknown";
+}
+
 void EncodePageHeader(const PageHeader& header, char* page) {
   std::memcpy(page, kPageMagicBytes, sizeof(kPageMagicBytes));
   PutU16(page + 4, static_cast<uint16_t>(header.type));

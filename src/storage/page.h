@@ -61,6 +61,10 @@ enum class PageType : uint16_t {
   kStrings = 5,     // length-prefixed label strings, streamed
 };
 
+/// "nodes", "child-offsets", ...; "unknown" for a value outside the
+/// enum (a page header is outside input).
+const char* PageTypeName(PageType type);
+
 /// Decoded page header.
 struct PageHeader {
   PageType type = PageType::kMeta;

@@ -1,10 +1,10 @@
 #include "storage/page_source.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -57,67 +57,84 @@ Status BlobPageSource::ReadPage(uint32_t page_id, char* out) const {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------- mmap
+// ---------------------------------------------------------------- file
 
-MmapPageSource::MmapPageSource(std::string path, const char* map,
-                               size_t map_bytes, uint32_t page_size,
-                               uint32_t page_count)
-    : PageSource(std::move(path), page_size, page_count),
-      map_(map),
-      map_bytes_(map_bytes) {}
+namespace {
 
-MmapPageSource::~MmapPageSource() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<char*>(map_), map_bytes_);
+/// Reads up to `bytes` at `offset`, riding out EINTR and short counts.
+/// Returns the bytes read, fewer only at end of file, or -1 with errno
+/// set.
+ssize_t PreadFully(int fd, char* out, size_t bytes, uint64_t offset) {
+  size_t got = 0;
+  while (got < bytes) {
+    const ssize_t n = ::pread(fd, out + got, bytes - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return -1;
+    if (n == 0) break;
+    got += static_cast<size_t>(n);
   }
+  return static_cast<ssize_t>(got);
 }
 
-Result<std::unique_ptr<MmapPageSource>> MmapPageSource::Open(
+}  // namespace
+
+FilePageSource::FilePageSource(std::string path, int fd)
+    : PageSource(std::move(path), 0, 0), fd_(fd) {}
+
+FilePageSource::~FilePageSource() { ::close(fd_); }
+
+Result<std::unique_ptr<FilePageSource>> FilePageSource::Open(
     const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::NotFound(path + ": open failed: " +
                             std::strerror(errno));
   }
-  struct stat st;
+  // Owned from here: every early return below closes the descriptor.
+  std::unique_ptr<FilePageSource> source(new FilePageSource(path, fd));
+  struct stat st {};
   if (::fstat(fd, &st) != 0) {
-    Status out = Status::Internal(path + ": fstat failed: " +
-                                  std::strerror(errno));
-    ::close(fd);
-    return out;
+    return Status::Internal(path + ": fstat failed: " +
+                            std::strerror(errno));
+  }
+  if (S_ISDIR(st.st_mode)) {
+    return Status::InvalidArgument(path + ": " + std::strerror(EISDIR));
+  }
+  if (!S_ISREG(st.st_mode)) {
+    return Status::InvalidArgument(path + ": not a regular file");
   }
   const size_t bytes = static_cast<size_t>(st.st_size);
-  if (bytes == 0) {
-    ::close(fd);
-    return Status::Corruption(path + ": empty store file");
+  if (bytes == 0) return Status::Corruption(path + ": empty store file");
+  char head[kMinPageBytes];
+  const ssize_t got =
+      PreadFully(fd, head, std::min(bytes, sizeof(head)), 0);
+  if (got < 0) {
+    return Status::Unavailable(path + ": read failed: " +
+                               std::strerror(errno));
   }
-  void* map = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-  // The mapping keeps its own reference to the file; the descriptor is
-  // no longer needed either way.
-  ::close(fd);
-  if (map == MAP_FAILED) {
-    return Status::Internal(path + ": mmap failed: " + std::strerror(errno));
-  }
-  const char* base = static_cast<const char*>(map);
-  uint32_t page_size = 0;
-  uint32_t page_count = 0;
-  Status geometry = CheckStoreGeometry(std::string_view(base, bytes), bytes,
-                                       path, &page_size, &page_count);
-  if (!geometry.ok()) {
-    ::munmap(map, bytes);
-    return geometry;
-  }
-  return std::unique_ptr<MmapPageSource>(
-      new MmapPageSource(path, base, bytes, page_size, page_count));
+  Status geometry = CheckStoreGeometry(
+      std::string_view(head, static_cast<size_t>(got)), bytes, path,
+      &source->page_size_, &source->page_count_);
+  if (!geometry.ok()) return geometry;
+  return source;
 }
 
-Status MmapPageSource::ReadPage(uint32_t page_id, char* out) const {
+Status FilePageSource::ReadPage(uint32_t page_id, char* out) const {
   if (page_id >= page_count_) {
     return Status::InvalidArgument(name_ + ": page " +
                                    std::to_string(page_id) + " out of range");
   }
-  std::memcpy(out, map_ + static_cast<size_t>(page_id) * page_size_,
-              page_size_);
+  const ssize_t got = PreadFully(fd_, out, page_size_,
+                                 static_cast<uint64_t>(page_id) * page_size_);
+  if (got < 0) {
+    return Status::Unavailable(name_ + ": page " + std::to_string(page_id) +
+                               ": read failed: " + std::strerror(errno));
+  }
+  if (static_cast<size_t>(got) < page_size_) {
+    return Status::Corruption(name_ + ": page " + std::to_string(page_id) +
+                              ": store truncated");
+  }
   return Status::OK();
 }
 

@@ -5,9 +5,11 @@
 //
 //   BlobPageSource — pages served out of an in-memory string. Used by
 //     tests and by serialize-then-reopen flows that never touch disk.
-//   MmapPageSource — a read-only mmap of a .twcst03 file. The kernel's
-//     page cache backs cold reads; the buffer pool above bounds how
-//     much validated, decoded data the process keeps hot.
+//   FilePageSource — a .twcst03 file read with pread(2), each page
+//     straight into the buffer-pool frame that asked for it. The pool
+//     is the only copy of the store the process holds; the kernel's
+//     page cache still serves cold reads, shared across processes and
+//     re-opens, but is not charged to the reader.
 //
 // Both verify at Open that the byte stream is page-aligned and large
 // enough for the geometry the meta page declares, so a truncated store
@@ -66,26 +68,29 @@ class BlobPageSource : public PageSource {
   std::string blob_;
 };
 
-/// Serves pages from a read-only memory map of a store file. Open
-/// errors carry errno text so an unreadable path surfaces a concrete
-/// reason (satellite: BeginRebuild failures report it via health).
-class MmapPageSource : public PageSource {
+/// Serves pages from a store file through its descriptor, which the
+/// source owns for its lifetime: a reader keeps the file it opened
+/// even after the path is replaced. Open errors carry errno text so an
+/// unreadable path surfaces a concrete reason (a failed swap reports
+/// it via health). A store truncated under an open source fails the
+/// pins past its new end with Corruption.
+class FilePageSource : public PageSource {
  public:
-  static Result<std::unique_ptr<MmapPageSource>> Open(
+  static Result<std::unique_ptr<FilePageSource>> Open(
       const std::string& path);
 
-  ~MmapPageSource() override;
-  MmapPageSource(const MmapPageSource&) = delete;
-  MmapPageSource& operator=(const MmapPageSource&) = delete;
+  ~FilePageSource() override;
+  FilePageSource(const FilePageSource&) = delete;
+  FilePageSource& operator=(const FilePageSource&) = delete;
 
+  /// Concurrent reads share the descriptor without a lock (pread(2)
+  /// takes its offset as an argument).
   Status ReadPage(uint32_t page_id, char* out) const override;
 
  private:
-  MmapPageSource(std::string path, const char* map, size_t map_bytes,
-                 uint32_t page_size, uint32_t page_count);
+  FilePageSource(std::string path, int fd);
 
-  const char* map_ = nullptr;
-  size_t map_bytes_ = 0;
+  int fd_ = -1;
 };
 
 /// Validates the byte-stream geometry shared by both sources: probes

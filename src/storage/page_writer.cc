@@ -1,6 +1,12 @@
 #include "storage/page_writer.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cassert>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 namespace twig::storage {
@@ -81,6 +87,45 @@ std::string PageWriter::Finish() {
     open_ = false;
   }
   return std::move(blob_);
+}
+
+Status WriteStoreFile(const std::string& path, std::string_view bytes) {
+  // pid + a process-wide counter keeps concurrent writers, in this
+  // process or another, off each other's temporary files; O_EXCL
+  // refuses a leftover of the same name, and the next name is tried.
+  static std::atomic<uint64_t> sequence{0};
+  std::string temp;
+  int fd = -1;
+  for (int attempt = 0; fd < 0; ++attempt) {
+    temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(sequence.fetch_add(1));
+    fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd < 0 && (errno != EEXIST || attempt == 99)) {
+      return Status::Internal(path + ": cannot create " + temp + ": " +
+                              std::strerror(errno));
+    }
+  }
+  auto fail = [&](const char* what) {
+    Status out = Status::Internal(path + ": " + what + " " + temp +
+                                  " failed: " + std::strerror(errno));
+    if (fd >= 0) ::close(fd);
+    ::unlink(temp.c_str());
+    return out;
+  };
+  for (size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return fail("write to");
+    done += static_cast<size_t>(n);
+  }
+  // Synced before the rename, so a crash leaves the old store or the
+  // whole new one at `path`, never a hole.
+  if (::fsync(fd) != 0) return fail("fsync of");
+  const int closed = ::close(fd);
+  fd = -1;
+  if (closed != 0) return fail("close of");
+  if (::rename(temp.c_str(), path.c_str()) != 0) return fail("rename of");
+  return Status::OK();
 }
 
 }  // namespace twig::storage

@@ -14,9 +14,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/page.h"
+#include "util/status.h"
 
 namespace twig::storage {
 
@@ -70,6 +72,13 @@ class PageWriter {
   bool open_ = false;             // a page is in progress
   size_t payload_used_ = 0;       // of the page in progress
 };
+
+/// Replaces the file at `path` with `bytes`: writes them to a uniquely
+/// named temporary file beside `path`, syncs it, and renames it over
+/// `path`. A reader that has the old file open keeps reading the old
+/// bytes, and `path` never holds a partly written file. On failure the
+/// temporary file is removed and `path` is left as it was.
+Status WriteStoreFile(const std::string& path, std::string_view bytes);
 
 }  // namespace twig::storage
 

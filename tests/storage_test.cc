@@ -1,14 +1,18 @@
 // Tests for the disk-backed CST storage subsystem: the TWCST03 page
 // format, the pin/unpin buffer manager (including its concurrency
-// protocol), the demand-paged CST reader, hostile-store handling, and
-// the storage failpoint seams.
+// protocol), the demand-paged CST reader, hostile-store handling, the
+// store file source and writer, and the storage failpoint seams.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -391,24 +395,57 @@ TEST(PagedCstTest, LoadCstBlobRoutesOnFormat) {
   EXPECT_FALSE(cst::LoadCstBlob("garbage bytes", "junk").ok());
 }
 
-TEST(PagedCstTest, LoadCstFileMapsAStore) {
+/// A store path in the test temp dir, unique to this process and `tag`
+/// (sanitizer and plain suites may run side by side).
+std::string TempStorePath(const std::string& tag) {
+  return testing::TempDir() + "/storage_test_" + std::to_string(::getpid()) +
+         "_" + tag + ".twcst03";
+}
+
+std::shared_ptr<const cst::PagedCst> OpenPagedFile(const std::string& path,
+                                                   size_t pool_bytes) {
+  cst::PagedCstOptions options;
+  options.pool_bytes = pool_bytes;
+  auto paged = cst::PagedCst::OpenFile(path, options);
+  EXPECT_TRUE(paged.ok()) << paged.status().ToString();
+  return paged.ok() ? std::move(paged).value() : nullptr;
+}
+
+TEST(PagedCstTest, LoadCstFileReadsAStore) {
   const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
   auto blob = memory.SerializePaged(4096);
   ASSERT_TRUE(blob.ok());
-  const std::string path =
-      testing::TempDir() + "/storage_test_load.twcst03";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(blob.value().data(),
-              static_cast<std::streamsize>(blob.value().size()));
-    ASSERT_TRUE(out.good());
-  }
+  const std::string path = TempStorePath("load");
+  ASSERT_TRUE(storage::WriteStoreFile(path, blob.value()).ok());
   auto view = cst::LoadCstFile(path);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   ExpectViewsAgree(memory, *view.value());
 
   EXPECT_EQ(cst::LoadCstFile(path + ".missing").status().code(),
             StatusCode::kNotFound);
+  std::remove(path.c_str());
+}
+
+TEST(PagedCstTest, OpenReaderKeepsItsStoreWhenThePathIsReplaced) {
+  const cst::Cst a = BuildFullCst(testutil::FigureOneTree());
+  const cst::Cst b = BuildFullCst(testutil::FigureTwoTree());
+  auto blob_a = a.SerializePaged(512);
+  auto blob_b = b.SerializePaged(512);
+  ASSERT_TRUE(blob_a.ok() && blob_b.ok());
+  const std::string path = TempStorePath("replaced");
+  ASSERT_TRUE(storage::WriteStoreFile(path, blob_a.value()).ok());
+  // Two frames: after the replacement nearly every read goes back to
+  // the file, so a reader that followed the path would see B's pages.
+  auto old_reader = OpenPagedFile(path, 2 * 512);
+  ASSERT_NE(old_reader, nullptr);
+
+  const Status replaced = storage::WriteStoreFile(path, blob_b.value());
+  ASSERT_TRUE(replaced.ok()) << replaced.ToString();
+  ExpectViewsAgree(a, *old_reader);
+  auto new_reader = OpenPagedFile(path, 2 * 512);
+  ASSERT_NE(new_reader, nullptr);
+  ExpectViewsAgree(b, *new_reader);
+  std::remove(path.c_str());
 }
 
 TEST(PagedCstTest, MaterializeRebuildsTheInMemoryCst) {
@@ -524,6 +561,95 @@ TEST(Twcst03HostileTest, OutOfRangeSectionPageRejectedAtOpen) {
   EXPECT_EQ(paged.status().code(), StatusCode::kCorruption);
 }
 
+/// For every node, each accessor of `paged` either agrees with
+/// `memory` or records a storage error in that call: a damaged store
+/// may answer less than the CST it came from, never differently.
+void ExpectEachReadAgreesOrRecordsAnError(const cst::Cst& memory,
+                                          const cst::CstView& paged) {
+  ASSERT_EQ(paged.node_count(), memory.node_count());
+  std::vector<suffix::ChildIndex::Entry> expected_children;
+  std::vector<suffix::ChildIndex::Entry> actual_children;
+  sethash::Signature memory_scratch;
+  sethash::Signature scratch;
+  for (cst::CstNodeId node = 0; node < memory.node_count(); ++node) {
+    auto expect = [&](const char* accessor, auto&& agrees) {
+      const uint64_t errors_before = paged.storage_error_count();
+      const bool same = agrees();
+      EXPECT_TRUE(same || paged.storage_error_count() > errors_before)
+          << accessor << "(" << node << ") answered wrong without an error";
+    };
+    expect("GetSymbol",
+           [&] { return paged.GetSymbol(node) == memory.GetSymbol(node); });
+    expect("Parent",
+           [&] { return paged.Parent(node) == memory.Parent(node); });
+    expect("Depth", [&] { return paged.Depth(node) == memory.Depth(node); });
+    expect("StartsWithTag", [&] {
+      return paged.StartsWithTag(node) == memory.StartsWithTag(node);
+    });
+    expect("PresenceCount", [&] {
+      return paged.PresenceCount(node) == memory.PresenceCount(node);
+    });
+    expect("OccurrenceCount", [&] {
+      return paged.OccurrenceCount(node) == memory.OccurrenceCount(node);
+    });
+    memory.CopyChildren(node, &expected_children);
+    expect("CopyChildren", [&] {
+      paged.CopyChildren(node, &actual_children);
+      if (actual_children.size() != expected_children.size()) return false;
+      for (size_t i = 0; i < expected_children.size(); ++i) {
+        if (actual_children[i].symbol != expected_children[i].symbol ||
+            actual_children[i].child != expected_children[i].child) {
+          return false;
+        }
+      }
+      return true;
+    });
+    for (const auto& entry : expected_children) {
+      expect("Step", [&] {
+        return paged.Step(node, entry.symbol) ==
+               memory.Step(node, entry.symbol);
+      });
+    }
+    expect("GetSignature", [&] {
+      const sethash::Signature* expected =
+          memory.GetSignature(node, &memory_scratch);
+      const sethash::Signature* actual = paged.GetSignature(node, &scratch);
+      if (expected == nullptr || actual == nullptr) return expected == actual;
+      return *expected == *actual;
+    });
+  }
+}
+
+TEST(Twcst03HostileTest, SectionPointingAtAnotherSectionsPagesIsCaught) {
+  const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
+  std::string blob = SerializedFigureOne(512);
+  // Swap the child-offsets and child-entries first_page fields (meta
+  // payload offsets 84 and 100; each section fills one page) and
+  // re-seal: every descriptor stays in bounds, so the store opens.
+  char* directory = blob.data() + storage::kPageHeaderBytes;
+  uint32_t offsets_page = 0;
+  uint32_t entries_page = 0;
+  std::memcpy(&offsets_page, directory + 84, 4);
+  std::memcpy(&entries_page, directory + 100, 4);
+  ASSERT_NE(offsets_page, entries_page);
+  std::memcpy(directory + 84, &entries_page, 4);
+  std::memcpy(directory + 100, &offsets_page, 4);
+  ResealPage(&blob, 0, 512);
+  cst::PagedCstOptions options;
+  options.pool_bytes = 8 * 512;
+  auto paged = cst::PagedCst::Open(OpenBlob(std::move(blob)), options);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+
+  ExpectEachReadAgreesOrRecordsAnError(memory, *paged.value());
+  const Status health = paged.value()->storage_health();
+  EXPECT_EQ(health.code(), StatusCode::kCorruption);
+  EXPECT_NE(health.message().find(
+                "page " + std::to_string(entries_page) +
+                " holds child-entries records, not child-offsets"),
+            std::string::npos)
+      << health.ToString();
+}
+
 TEST(Twcst03HostileTest, OversizedPageCountRejectedAtOpen) {
   std::string blob = SerializedFigureOne(512);
   // Claim 1M pages in the geometry; the blob has a handful. The page
@@ -534,6 +660,105 @@ TEST(Twcst03HostileTest, OversizedPageCountRejectedAtOpen) {
   ResealPage(&blob, 0, 512);
   EXPECT_EQ(BlobPageSource::Open(blob, "oversized").status().code(),
             StatusCode::kCorruption);
+}
+
+// --------------------------------------------------------- store files
+
+TEST(StorageFileTest, TruncatedUnderAnOpenReaderFailsItsPins) {
+  const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
+  const std::string blob = SerializedFigureOne(512);
+  const std::string path = TempStorePath("truncated");
+  ASSERT_TRUE(storage::WriteStoreFile(path, blob).ok());
+  auto paged = OpenPagedFile(path, 2 * 512);
+  ASSERT_NE(paged, nullptr);
+  // Cut the file mid-page, halfway through the store, in place: the
+  // reader's descriptor now sees a shorter file.
+  const size_t pages = blob.size() / 512;
+  ASSERT_GT(pages, 8u);
+  ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>((pages / 2) * 512 + 100)),
+            0);
+
+  ExpectEachReadAgreesOrRecordsAnError(memory, *paged);
+  const Status health = paged->storage_health();
+  EXPECT_EQ(health.code(), StatusCode::kCorruption);
+  EXPECT_NE(health.message().find(path + ": page "), std::string::npos)
+      << health.ToString();
+  EXPECT_NE(health.message().find(": store truncated"), std::string::npos)
+      << health.ToString();
+  EXPECT_FALSE(cst::Cst::Materialize(*paged).ok());
+  std::remove(path.c_str());
+}
+
+TEST(StorageFileTest, OpenRejectsWhatIsNotAStore) {
+  using storage::FilePageSource;
+  auto reason = [](const std::string& path) {
+    return FilePageSource::Open(path).status();
+  };
+  const std::string path = TempStorePath("not_a_store");
+
+  const Status directory = reason(testing::TempDir());
+  EXPECT_EQ(directory.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(directory.message().find(std::strerror(EISDIR)),
+            std::string::npos)
+      << directory.ToString();
+
+  ASSERT_TRUE(storage::WriteStoreFile(path, "").ok());
+  const Status empty = reason(path);
+  EXPECT_EQ(empty.code(), StatusCode::kCorruption);
+  EXPECT_NE(empty.message().find("empty store file"), std::string::npos)
+      << empty.ToString();
+
+  const std::string blob = SerializedFigureOne(512);
+  ASSERT_TRUE(
+      storage::WriteStoreFile(path, blob.substr(0, blob.size() - 512)).ok());
+  const Status short_store = reason(path);
+  EXPECT_EQ(short_store.code(), StatusCode::kCorruption);
+  EXPECT_NE(short_store.message().find("store truncated"), std::string::npos)
+      << short_store.ToString();
+
+  ASSERT_TRUE(storage::WriteStoreFile(path, blob.substr(0, 30)).ok());
+  const Status stub = reason(path);
+  EXPECT_EQ(stub.code(), StatusCode::kCorruption);
+  EXPECT_NE(stub.message().find("truncated before meta fields"),
+            std::string::npos)
+      << stub.ToString();
+  std::remove(path.c_str());
+
+  const Status missing = reason(path);
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.message().find(std::strerror(ENOENT)), std::string::npos)
+      << missing.ToString();
+}
+
+size_t OpenDescriptorCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(StorageFileTest, OpenCloseCyclesLeakNoDescriptors) {
+  const std::string blob = SerializedFigureOne(512);
+  const std::string path = TempStorePath("cycles");
+  const std::string short_path = TempStorePath("cycles_short");
+  ASSERT_TRUE(storage::WriteStoreFile(path, blob).ok());
+  ASSERT_TRUE(
+      storage::WriteStoreFile(short_path, blob.substr(0, blob.size() - 512))
+          .ok());
+  const size_t before = OpenDescriptorCount();
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    auto paged = OpenPagedFile(path, 2 * 512);
+    ASSERT_NE(paged, nullptr);
+    (void)paged->PresenceCount(1);
+    EXPECT_EQ(paged->storage_error_count(), 0u);
+    // A store refused after its open must close the descriptor too.
+    EXPECT_FALSE(storage::FilePageSource::Open(short_path).ok());
+  }
+  EXPECT_EQ(OpenDescriptorCount(), before);
+  std::remove(path.c_str());
+  std::remove(short_path.c_str());
 }
 
 // --------------------------------------------------------- failpoints
