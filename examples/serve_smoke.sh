@@ -330,7 +330,11 @@ if grep -F "$STORE" "/proc/$SERVE_PID/maps" >/dev/null; then
 fi
 
 # Injected checksum corruption: estimates turn into structured errors
-# (degraded reads never silently skew an answer)...
+# (degraded reads never silently skew an answer)... The failpoint fires
+# on page loads, so first swap: the rebuilt store reopens with an empty
+# pool, and the estimate must read cold pages.
+"$CLIENT" --port="$PORT" --op=swap \
+    || fail "paged swap before checksum faults failed"
 "$CLIENT" --port="$PORT" --op=failpoint --spec='storage/checksum=error' \
     || fail "failpoint arm (storage/checksum) failed"
 "$CLIENT" --port="$PORT" --op=estimate --query='article(author, year)' \
@@ -343,10 +347,16 @@ case "$HEALTH" in
   *) fail "health is not storage-degraded under checksum faults: $HEALTH" ;;
 esac
 
-# Disarm; reads work again (failed pages were never cached), and a
-# swap — rebuild, replace the store, reopen — clears the degradation.
-"$CLIENT" --port="$PORT" --op=failpoint --spec='storage/checksum=off' \
+# Disarm; the failpoint stats must show the trigger. Reads work again
+# (failed pages were never cached), and a swap — rebuild, replace the
+# store, reopen — clears the degradation.
+FP=$("$CLIENT" --port="$PORT" --op=failpoint --spec='storage/checksum=off') \
     || fail "failpoint disarm (storage/checksum) failed"
+case "$FP" in
+  *'"triggers":0'*) fail "armed storage/checksum never fired: $FP" ;;
+  *'"triggers":'*) : ;;
+  *) fail "failpoint list lacks trigger stats: $FP" ;;
+esac
 "$CLIENT" --port="$PORT" --op=estimate --query='article(author, year)' \
     || fail "estimate did not recover after disarm"
 "$CLIENT" --port="$PORT" --op=swap || fail "paged recovery swap failed"

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <map>
+#include <functional>
 #include <thread>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -40,16 +43,22 @@ uint32_t Cst::ThresholdForBudget(const PathSuffixTree& pst,
       options.signature_length * options.bytes_per_signature_component;
   // Group retained cost by pt value, then admit groups from most to
   // least frequent while the budget holds. Whole groups keep the
-  // threshold semantics (pt >= t) and hence pruning monotonicity.
-  std::map<uint32_t, size_t, std::greater<>> cost_by_pt;
+  // threshold semantics (pt >= t) and hence pruning monotonicity. Only
+  // values some node has form a group, so the threshold is always one
+  // of them. Groups are few (1,391 for the 314k nodes of an 8 MiB
+  // document), so they are hashed and only they are sorted.
+  std::unordered_map<uint32_t, size_t> cost_by_pt;
   for (PstNodeId n = 1; n < pst.node_count(); ++n) {
     const size_t cost = options.bytes_per_node +
                         (pst.StartsWithTag(n) ? sig_bytes : 0);
     cost_by_pt[pst.PathCount(n)] += cost;
   }
+  std::vector<std::pair<uint32_t, size_t>> groups(cost_by_pt.begin(),
+                                                  cost_by_pt.end());
+  std::sort(groups.begin(), groups.end(), std::greater<>());
   size_t used = 0;
   uint32_t threshold = 0xffffffffu;  // retain nothing
-  for (const auto& [pt, cost] : cost_by_pt) {
+  for (const auto& [pt, cost] : groups) {
     if (used + cost > options.space_budget_bytes) break;
     used += cost;
     threshold = pt;

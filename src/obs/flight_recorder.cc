@@ -75,7 +75,7 @@ std::vector<SpanRecord> SpanRing::Snapshot() const {
   std::vector<SpanRecord> out;
   out.reserve(static_cast<size_t>(head - begin));
   for (uint64_t pos = begin; pos < head; ++pos) {
-    const Slot& slot = slots_[pos & mask_];
+    Slot& slot = slots_[pos & mask_];
     const uint64_t stable = 2 * (pos + capacity_);
     const uint64_t before = slot.seq.load(std::memory_order_acquire);
     if (before != stable) continue;  // unwritten, mid-write, or lapped
@@ -104,9 +104,14 @@ std::vector<SpanRecord> SpanRing::Snapshot() const {
     record.fault_injected =
         slot.fault_injected.load(std::memory_order_relaxed);
     // Re-validate: if a writer claimed the slot while we copied, the
-    // sequence moved off the stable value and the copy may be torn.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != before) continue;
+    // sequence moved off the stable value and the copy may be torn. A
+    // release read-modify-write that leaves the value unchanged keeps
+    // the copy's loads before it and reads the latest sequence: if it
+    // precedes a writer's acquire CAS, that writer's stores come after
+    // our loads; if it follows, it reads a later sequence and we skip.
+    // (Boehm, "Can seqlocks get along with programming language memory
+    // models?", 2012; unlike a standalone fence, TSan models it.)
+    if (slot.seq.fetch_add(0, std::memory_order_release) != before) continue;
     out.push_back(std::move(record));
   }
   return out;

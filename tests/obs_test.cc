@@ -845,7 +845,8 @@ TEST(FlightRecorderTest, SpansJsonIsAValidArray) {
 TEST(FlightRecorderTest, SnapshotIsTornReadFreeWhileWritersRace) {
   SpanRing ring(16);
   constexpr int kWriters = 4;
-  constexpr uint64_t kPerWriter = 2000;
+  // Enough records that a reader which skips its re-check sees a tear.
+  constexpr uint64_t kPerWriter = 50000;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> next_id{1};
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <set>
 #include <string>
 #include <string_view>
@@ -8,6 +12,7 @@
 
 #include "util/flags.h"
 #include "util/hash.h"
+#include "util/heap.h"
 #include "util/rng.h"
 #include "util/small_vector.h"
 #include "util/status.h"
@@ -238,6 +243,56 @@ TEST(ThreadPoolTest, ReusableAcrossBatchesAndHandlesEmpty) {
                      [&](size_t item, size_t) { hits[item] += 1; });
     for (int h : hits) EXPECT_EQ(h, 1);
   }
+}
+
+// The arena trap (DESIGN.md §17): after the calling thread frees a
+// block as large as a parsed document, glibc would serve pool threads'
+// multi-MiB arrays from their arenas and keep what they free. With the
+// threshold frozen those arrays are mapped and unmapped, so the free
+// bytes malloc holds barely move.
+TEST(HeapTest, FrozenMmapThresholdReturnsWorkerArraysToTheKernel) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's allocator replaces glibc's malloc";
+#endif
+  ASSERT_TRUE(util::FreezeMmapThreshold());
+  // What parsing does: free an 8 MiB block on the calling thread. The
+  // volatile sink keeps the compiler from eliding the pair.
+  constexpr size_t kTextBytes = 8u << 20;
+  static void* volatile sink = nullptr;
+  sink = std::malloc(kTextBytes);
+  ASSERT_NE(sink, nullptr);
+  std::memset(sink, 1, kTextBytes);
+  std::free(sink);
+
+  // What the PST parts do: grow arrays to 4 MiB by push_back on pool
+  // threads and free them, counting every buffer each one released.
+  constexpr uint64_t kRecords = (4u << 20) / sizeof(uint64_t);
+  util::ThreadPool pool(4);
+  std::vector<size_t> freed(pool.size(), 0);
+  std::vector<uint64_t> last(pool.size(), 0);
+  const size_t free_before = mallinfo2().fordblks;
+  pool.ParallelFor(pool.size(), [&](size_t item, size_t) {
+    std::vector<uint64_t> records;
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      if (records.size() == records.capacity()) {
+        freed[item] += records.capacity() * sizeof(uint64_t);
+      }
+      records.push_back(i);
+    }
+    freed[item] += records.capacity() * sizeof(uint64_t);
+    last[item] = records.back();
+  });
+  const size_t free_after = mallinfo2().fordblks;
+
+  size_t freed_total = 0;
+  for (size_t item = 0; item < pool.size(); ++item) {
+    EXPECT_EQ(last[item], kRecords - 1);
+    freed_total += freed[item];
+  }
+  const size_t grown = free_after > free_before ? free_after - free_before : 0;
+  EXPECT_LT(grown, freed_total / 8)
+      << "malloc holds " << grown << " more free bytes after the workers "
+      << "freed " << freed_total;
 }
 
 TEST(FlagParserTest, ParsesEveryFlagKind) {
