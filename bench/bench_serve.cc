@@ -1,46 +1,31 @@
-// Serving-layer benchmark (DESIGN.md §10): what does putting the
-// estimator behind the snapshot catalog + bounded queue + worker pool
-// cost, and how does the queue behave at and past saturation?
+// Serving-layer benchmarks (DESIGN.md §10, §14, §16) for the two
+// behaviours perfbench does not measure:
 //
-//   1. Baseline: direct TwigEstimator calls on the caller thread.
-//   2. Served throughput: closed-loop clients (each waits for its
-//      response before sending the next) against the EstimateService,
-//      sweeping worker counts — per-request overhead is the gap to the
-//      baseline.
-//   3. Overload: an open-loop burst far past queue capacity; every
-//      request is answered (estimate or structured rejection), and the
-//      split shows the admission discipline doing its job.
+//   --faults=P  goodput under injected estimate faults (serve/estimate
+//               fails with probability P), with and without client
+//               retry; every served answer is checked against the
+//               direct estimator.
+//   --tenants   weighted tenants under saturating closed-loop load:
+//               per-tenant throughput share against its weighted
+//               entitlement, and per-tenant latency percentiles.
 //
-// --zipf runs the result-cache comparison instead: the same
-// Zipf-skewed request sequence against an uncached and a cached
-// service at equal worker counts, verifying every answer (hit or
-// compute) against the direct estimator and reporting the speedup.
+// The serving path's per-layer cost, the result cache and paged store
+// start-up are measured by perfbench instead (perfbench/README.md).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <future>
-#include <memory>
 #include <optional>
-#include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cst/paged_cst.h"
 #include "exp/harness.h"
-#include "util/strings.h"
-#include "xml/xml.h"
 #include "obs/metrics.h"
 #include "serve/retry.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
-#include "storage/page_writer.h"
 #include "util/failpoint.h"
 #include "util/flags.h"
 
@@ -60,144 +45,18 @@ uint64_t NanosSince(Clock::time_point start) {
           .count());
 }
 
-/// One "  <label>: p50 ... us" line from a request-latency histogram
-/// (log2 buckets, so percentiles are within a factor of 2).
-void PrintLatencyLine(const char* label, const obs::HistogramSnapshot& h) {
-  const obs::LatencyPercentiles p = obs::SummarizeLatency(h);
-  std::printf("  %-9s p50 %8.1f us | p95 %8.1f us | p99 %8.1f us "
-              "(mean %.1f us over %llu)\n",
-              label, p.p50_us, p.p95_us, p.p99_us, p.mean_us,
-              static_cast<unsigned long long>(p.count));
-}
-
 constexpr char kUsage[] =
-    "usage: bench_serve [--zipf | --faults=P | --cold-start | --tenants]\n"
-    "                   [--count=N] [--workers=N] [--retries=N] [--bytes=N]\n"
-    "                   [--buffer-mb=F]\n"
-    "  --zipf       run the Zipf-workload result-cache comparison\n"
+    "usage: bench_serve (--faults=P | --tenants) [--count=N] [--workers=N]\n"
+    "                   [--retries=N]\n"
     "  --tenants    run the multi-tenant fairness benchmark: weighted\n"
     "               tenants under saturating closed-loop load; reports\n"
     "               per-tenant p50/p95/p99 and the fairness ratio\n"
     "  --faults=P   run the goodput-under-faults comparison: inject\n"
     "               estimate faults with probability P (e.g. 0.1) and\n"
     "               measure goodput with and without client retry\n"
-    "  --cold-start compare time-to-first-answer from a serialized CST:\n"
-    "               TWCST02 full deserialize vs TWCST03 open + page-in\n"
-    "  --count=N    zipf/faults: total requests per run (default 20000)\n"
-    "  --workers=N  zipf/faults: estimation workers (default 2)\n"
-    "  --retries=N  faults: retry attempts per request (default 3)\n"
-    "  --bytes=N    cold-start: generated data size (default 8388608)\n"
-    "  --buffer-mb=F cold-start: TWCST03 buffer pool MiB (default 16)\n";
-
-/// One closed-loop run of `sequence` (indices into `wl`) against a
-/// service configured with `cache_entries`. Returns elapsed seconds;
-/// tallies cache hits and answers that differ from `expected`.
-double RunZipfLoop(serve::SnapshotCatalog* catalog,
-                   const workload::Workload& wl,
-                   const std::vector<size_t>& sequence,
-                   const std::vector<double>& expected, size_t workers,
-                   size_t cache_entries, std::atomic<size_t>* hits,
-                   std::atomic<size_t>* mismatches,
-                   obs::HistogramSnapshot* latency) {
-  serve::ServiceOptions sopt;
-  sopt.num_workers = workers;
-  sopt.cache_entries = cache_entries;
-  serve::EstimateService service(catalog, sopt);
-
-  constexpr size_t kClients = 4;
-  std::vector<obs::HistogramSnapshot> client_latency(kClients);
-  const Clock::time_point start = Clock::now();
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t i = c; i < sequence.size(); i += kClients) {
-        const size_t query = sequence[i];
-        serve::EstimateRequest request;
-        request.twig = wl[query].twig;
-        request.algorithm = core::Algorithm::kMsh;
-        const Clock::time_point sent = Clock::now();
-        serve::EstimateResponse response =
-            service.SubmitAndWait(std::move(request));
-        client_latency[c].Record(NanosSince(sent));
-        if (!response.status.ok()) continue;
-        if (response.cached) hits->fetch_add(1, std::memory_order_relaxed);
-        // Bit-identical, not approximately equal: a cache hit is the
-        // stored double, a compute is deterministic on one snapshot.
-        if (response.estimate != expected[query]) {
-          mismatches->fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double seconds = SecondsSince(start);
-  service.Shutdown(/*drain=*/true);
-  for (const obs::HistogramSnapshot& h : client_latency) latency->Merge(h);
-  return seconds;
-}
-
-int RunZipf(size_t count, size_t workers) {
-  exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp,
-                                     exp::kDefaultDblpBytes, 20010402);
-  workload::WorkloadOptions wopt;
-  wopt.num_queries = 200;
-  wopt.seed = 1789;
-  const workload::Workload wl = workload::GeneratePositive(ds.tree, wopt);
-
-  serve::SnapshotCatalog catalog;
-  catalog.Publish(exp::BuildCstAtFraction(ds, 0.01), "dblp @ 1%");
-  const auto snapshot = catalog.Current();
-
-  // Ground truth: the direct estimator on the same snapshot.
-  core::TwigEstimator direct(snapshot->summary.get());
-  std::vector<double> expected(wl.size());
-  for (size_t i = 0; i < wl.size(); ++i) {
-    expected[i] = direct.Estimate(wl[i].twig, core::Algorithm::kMsh);
-  }
-
-  // A fixed Zipf(s=1.1) sequence over query ranks: a few hot queries
-  // dominate, the tail keeps the cache honest. Both runs replay the
-  // identical sequence.
-  std::vector<double> weights(wl.size());
-  for (size_t rank = 0; rank < wl.size(); ++rank) {
-    weights[rank] = 1.0 / std::pow(static_cast<double>(rank + 1), 1.1);
-  }
-  std::mt19937_64 rng(424242);
-  std::discrete_distribution<size_t> zipf(weights.begin(), weights.end());
-  std::vector<size_t> sequence(count);
-  for (size_t& index : sequence) index = zipf(rng);
-
-  std::printf("== Zipf workload, result cache on vs off (%zu requests, "
-              "%zu workers, 4 clients) ==\n",
-              count, workers);
-  std::atomic<size_t> uncached_hits{0}, uncached_mismatches{0};
-  obs::HistogramSnapshot uncached_latency;
-  const double uncached_seconds =
-      RunZipfLoop(&catalog, wl, sequence, expected, workers,
-                  /*cache_entries=*/0, &uncached_hits, &uncached_mismatches,
-                  &uncached_latency);
-  std::atomic<size_t> cached_hits{0}, cached_mismatches{0};
-  obs::HistogramSnapshot cached_latency;
-  const double cached_seconds =
-      RunZipfLoop(&catalog, wl, sequence, expected, workers,
-                  /*cache_entries=*/4096, &cached_hits, &cached_mismatches,
-                  &cached_latency);
-
-  const double n = static_cast<double>(count);
-  std::printf("  uncached: %8.0f req/s (%zu mismatches)\n",
-              n / uncached_seconds, uncached_mismatches.load());
-  std::printf("  cached:   %8.0f req/s, %zu hits (%zu mismatches)\n",
-              n / cached_seconds, cached_hits.load(),
-              cached_mismatches.load());
-  PrintLatencyLine("uncached", uncached_latency);
-  PrintLatencyLine("cached", cached_latency);
-  const double speedup = uncached_seconds / cached_seconds;
-  std::printf("  speedup: %.2fx\n", speedup);
-  const bool ok = uncached_mismatches.load() == 0 &&
-                  cached_mismatches.load() == 0 && cached_hits.load() > 0;
-  if (!ok) std::printf("  FAILED: cache served a wrong or zero answer\n");
-  return ok ? 0 : 1;
-}
+    "  --count=N    total requests per run (default 20000)\n"
+    "  --workers=N  estimation workers (default 2)\n"
+    "  --retries=N  faults: retry attempts per request (default 3)\n";
 
 /// Tallies for one goodput run (4 closed-loop clients, merged).
 struct FaultTally {
@@ -454,240 +313,28 @@ int RunTenants(size_t count, size_t workers) {
   return 0;
 }
 
-// ----------------------------------------------------------- cold start
-
-std::string TempPath(const char* name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
-
-/// Time-to-first-answer from a serialized CST on disk: the whole-blob
-/// TWCST02 path (read the file, deserialize everything, answer) versus
-/// the paged TWCST03 path (open, read the handful of pages one walk
-/// touches into the pool, answer). The paged path's advantage grows with store size
-/// — it does O(query) work where deserialization does O(store).
-int RunColdStart(size_t bytes, double buffer_mb) {
-  exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp, bytes,
-                                     20010402);
-  workload::WorkloadOptions wopt;
-  wopt.num_queries = 8;
-  wopt.seed = 1789;
-  const workload::Workload wl = workload::GeneratePositive(ds.tree, wopt);
-
-  // Full (unpruned) summary: the store scales with the data, which is
-  // the regime where paging pays — deserialization is O(store), the
-  // paged first answer is O(pages one walk touches).
-  const cst::Cst memory = exp::BuildCstAtFraction(ds, 1.0);
-  const std::string blob02 = memory.Serialize();
-  auto blob03 = memory.SerializePaged();
-  if (!blob03.ok()) {
-    std::printf("FAILED: %s\n", blob03.status().ToString().c_str());
-    return 1;
-  }
-  const std::string path02 = TempPath("bench_serve_cold.twcst02");
-  const std::string path03 = TempPath("bench_serve_cold.twcst03");
-  if (!storage::WriteStoreFile(path02, blob02).ok() ||
-      !storage::WriteStoreFile(path03, blob03.value()).ok()) {
-    std::printf("FAILED: cannot write stores under $TMPDIR\n");
-    return 1;
-  }
-  std::printf("== cold start: time to first answer (data %s, TWCST02 "
-              "%s, TWCST03 %s) ==\n",
-              HumanBytes(xml::XmlByteSize(ds.tree)).c_str(),
-              HumanBytes(blob02.size()).c_str(),
-              HumanBytes(blob03.value().size()).c_str());
-
-  const size_t pool_bytes =
-      static_cast<size_t>(buffer_mb * 1024.0 * 1024.0);
-  constexpr int kTrials = 5;
-  double parse_seconds = 1e30;
-  double paged_seconds = 1e30;
-  double parse_answer = 0;
-  double paged_answer = 0;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    {
-      const Clock::time_point start = Clock::now();
-      std::ifstream in(path02, std::ios::binary);
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      auto cst = cst::Cst::Deserialize(buffer.str());
-      if (!cst.ok()) {
-        std::printf("FAILED: %s\n", cst.status().ToString().c_str());
-        return 1;
-      }
-      const core::TwigEstimator estimator(&cst.value());
-      parse_answer = estimator.Estimate(wl[0].twig, core::Algorithm::kMsh);
-      parse_seconds = std::min(parse_seconds, SecondsSince(start));
-    }
-    {
-      const Clock::time_point start = Clock::now();
-      cst::PagedCstOptions popt;
-      popt.pool_bytes = pool_bytes;
-      auto paged = cst::PagedCst::OpenFile(path03, popt);
-      if (!paged.ok()) {
-        std::printf("FAILED: %s\n", paged.status().ToString().c_str());
-        return 1;
-      }
-      const core::TwigEstimator estimator(paged.value().get());
-      paged_answer = estimator.Estimate(wl[0].twig, core::Algorithm::kMsh);
-      paged_seconds = std::min(paged_seconds, SecondsSince(start));
-    }
-  }
-  std::remove(path02.c_str());
-  std::remove(path03.c_str());
-
-  std::printf("  TWCST02 parse: %9.3f ms to first answer\n",
-              1e3 * parse_seconds);
-  std::printf("  TWCST03 open:  %9.3f ms to first answer "
-              "(buffer %.1f MiB)\n",
-              1e3 * paged_seconds, buffer_mb);
-  std::printf("  speedup: %.1fx\n", parse_seconds / paged_seconds);
-  if (parse_answer != paged_answer) {
-    std::printf("  FAILED: paged answer %.17g != parsed %.17g\n",
-                paged_answer, parse_answer);
-    return 1;
-  }
-  std::printf("  answers bit-identical: %.6g\n", parse_answer);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool zipf = false;
   bool tenants = false;
-  bool cold_start = false;
   double faults = 0;
-  size_t zipf_count = 20000;
-  size_t zipf_workers = 2;
+  size_t count = 20000;
+  size_t workers = 2;
   size_t retries = 3;
-  size_t cold_bytes = 8 * 1024 * 1024;
-  double buffer_mb = 16;
   util::FlagParser flags("bench_serve", kUsage);
-  flags.Bool("zipf", &zipf);
   flags.Bool("tenants", &tenants);
-  flags.Bool("cold-start", &cold_start);
   flags.Double("faults", &faults);
-  flags.Size("count", &zipf_count);
-  flags.Size("workers", &zipf_workers);
+  flags.Size("count", &count);
+  flags.Size("workers", &workers);
   flags.Size("retries", &retries);
-  flags.Size("bytes", &cold_bytes);
-  flags.Double("buffer-mb", &buffer_mb);
   if (int code = flags.Parse(argc, argv); code >= 0) return code;
   if (faults < 0 || faults > 1) {
     std::fprintf(stderr, "bench_serve: --faults must be in [0, 1]\n");
     return 2;
   }
-  if (cold_start) return RunColdStart(cold_bytes, buffer_mb);
-  if (tenants) {
-    return RunTenants(zipf_count, std::max<size_t>(1, zipf_workers));
-  }
-  if (zipf) return RunZipf(zipf_count, std::max<size_t>(1, zipf_workers));
-  if (faults > 0) {
-    return RunFaults(zipf_count, std::max<size_t>(1, zipf_workers), faults,
-                     retries);
-  }
-  exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp,
-                                     exp::kDefaultDblpBytes, 20010402);
-  workload::WorkloadOptions wopt;
-  wopt.num_queries = 200;
-  wopt.seed = 1789;
-  const workload::Workload wl = workload::GeneratePositive(ds.tree, wopt);
-
-  serve::SnapshotCatalog catalog;
-  catalog.Publish(exp::BuildCstAtFraction(ds, 0.01), "dblp @ 1%");
-  const std::shared_ptr<const serve::CstSnapshot> snapshot = catalog.Current();
-
-  constexpr size_t kRounds = 10;  // passes over the workload per run
-
-  // -- 1. Baseline: the estimator with no serving machinery around it.
-  core::TwigEstimator direct(snapshot->summary.get());
-  obs::HistogramSnapshot direct_latency;
-  Clock::time_point start = Clock::now();
-  for (size_t round = 0; round < kRounds; ++round) {
-    for (const auto& wq : wl) {
-      const Clock::time_point sent = Clock::now();
-      direct.Estimate(wq.twig, core::Algorithm::kMsh);
-      direct_latency.Record(NanosSince(sent));
-    }
-  }
-  const double direct_seconds = SecondsSince(start);
-  const size_t total = kRounds * wl.size();
-  std::printf("== Direct estimator baseline (MSH, 1%% space) ==\n");
-  std::printf("  %zu estimates in %.3f s: %.0f/s, %.1f us each\n", total,
-              direct_seconds, static_cast<double>(total) / direct_seconds,
-              1e6 * direct_seconds / static_cast<double>(total));
-  PrintLatencyLine("direct", direct_latency);
-  std::printf("\n");
-
-  // -- 2. Served, closed loop: sweep the worker count. Request latency
-  // is the client-observed submit-to-response time (queue wait +
-  // execution + hand-off), per-client histograms merged after the run.
-  std::printf("== Served throughput (closed loop, 4 client threads) ==\n");
-  std::printf("  %-8s %10s %12s %12s %12s %12s\n", "workers", "req/s",
-              "vs direct", "p50 us", "p95 us", "p99 us");
-  for (size_t workers : {1, 2, 4}) {
-    serve::ServiceOptions sopt;
-    sopt.num_workers = workers;
-    serve::EstimateService service(&catalog, sopt);
-
-    constexpr size_t kClients = 4;
-    std::vector<obs::HistogramSnapshot> client_latency(kClients);
-    start = Clock::now();
-    std::vector<std::thread> clients;
-    for (size_t c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        for (size_t i = c; i < kRounds * wl.size(); i += kClients) {
-          serve::EstimateRequest request;
-          request.twig = wl[i % wl.size()].twig;
-          request.algorithm = core::Algorithm::kMsh;
-          const Clock::time_point sent = Clock::now();
-          serve::EstimateResponse response =
-              service.SubmitAndWait(std::move(request));
-          if (response.status.ok()) {
-            client_latency[c].Record(NanosSince(sent));
-          }
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    const double served_seconds = SecondsSince(start);
-    service.Shutdown(/*drain=*/true);
-
-    obs::HistogramSnapshot latency;
-    for (const obs::HistogramSnapshot& h : client_latency) latency.Merge(h);
-    const obs::LatencyPercentiles p = obs::SummarizeLatency(latency);
-    std::printf("  %-8zu %10.0f %11.2fx %12.1f %12.1f %12.1f\n", workers,
-                static_cast<double>(total) / served_seconds,
-                served_seconds / direct_seconds, p.p50_us, p.p95_us,
-                p.p99_us);
-  }
-
-  // -- 3. Overload: open-loop burst past the queue, count the split.
-  std::printf("\n== Overload (open loop, queue capacity 64, 1 worker) ==\n");
-  serve::ServiceOptions sopt;
-  sopt.num_workers = 1;
-  sopt.queue_capacity = 64;
-  serve::EstimateService service(&catalog, sopt);
-  std::vector<std::future<serve::EstimateResponse>> in_flight;
-  in_flight.reserve(4 * wl.size());
-  for (size_t i = 0; i < 4 * wl.size(); ++i) {
-    serve::EstimateRequest request;
-    request.twig = wl[i % wl.size()].twig;
-    in_flight.push_back(service.Submit(std::move(request)));
-  }
-  size_t served = 0, rejected = 0;
-  for (auto& f : in_flight) {
-    serve::EstimateResponse response = f.get();
-    if (response.status.ok()) {
-      ++served;
-    } else {
-      ++rejected;
-    }
-  }
-  service.Shutdown(/*drain=*/true);
-  std::printf("  %zu submitted: %zu served, %zu rejected (every request "
-              "answered)\n",
-              in_flight.size(), served, rejected);
-  return 0;
+  workers = std::max<size_t>(1, workers);
+  if (tenants) return RunTenants(count, workers);
+  if (faults > 0) return RunFaults(count, workers, faults, retries);
+  std::fprintf(stderr, "%s", kUsage);
+  return 2;
 }

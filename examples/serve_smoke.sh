@@ -4,14 +4,17 @@
 # multi-threaded estimate bench with a snapshot hot-swap mid-run),
 # check the observability verbs (stats percentiles, the accuracy
 # window, the flight recorder's recent/slow spans), then shut it down
-# over the wire and check it exits cleanly.
+# over the wire and check it exits cleanly. Later runs cover the result
+# cache, injected faults, paged storage (with twig_convert re-paging
+# the served store) and multi-dataset, multi-tenant serving.
 #
-#   serve_smoke.sh <twig_serve> <twig_client> <workdir>
+#   serve_smoke.sh <twig_serve> <twig_client> <twig_convert> <workdir>
 set -eu
 
 SERVE="$1"
 CLIENT="$2"
-WORK="$3"
+CONVERT="$3"
+WORK="$4"
 
 mkdir -p "$WORK"
 PORT_FILE="$WORK/port"
@@ -307,6 +310,42 @@ PORT=$(cat "$PORT_FILE")
 echo "serve_smoke: paged server on port $PORT (store $STORE)"
 [ -s "$STORE" ] || fail "paged server wrote no store file"
 
+# twig_convert reads the served store: --info names its page size and
+# node count, and re-paging to 4 KiB and back to 1 KiB reproduces it
+# byte for byte.
+INFO=$("$CONVERT" --in="$STORE" --info) || fail "twig_convert --info failed"
+case "$INFO" in
+  *'1024-byte pages'*) : ;;
+  *) fail "twig_convert --info lacks the page size: $INFO" ;;
+esac
+printf '%s\n' "$INFO" | grep -Eq '^  nodes +[1-9][0-9]*$' \
+    || fail "twig_convert --info lacks the node count: $INFO"
+"$CONVERT" --in="$STORE" --out="$WORK/cst_4k.twcst03" --page-bytes=4096 \
+    >/dev/null || fail "twig_convert could not re-page to 4 KiB"
+"$CONVERT" --in="$WORK/cst_4k.twcst03" --out="$WORK/cst_1k.twcst03" \
+    --page-bytes=1024 >/dev/null \
+    || fail "twig_convert could not re-page back to 1 KiB"
+cmp "$STORE" "$WORK/cst_1k.twcst03" \
+    || fail "store re-paged to 4 KiB and back differs from the original"
+
+# A summary in the retired whole-blob format (its 8-byte magic, then
+# zeros) is not a store: both tools refuse it and print the open error.
+OLD="$WORK/whole_blob.cst"
+printf 'TWCST02\000' >"$OLD"
+head -c 1024 /dev/zero >>"$OLD"
+OUT=$("$CONVERT" --in="$OLD" --info 2>&1) \
+    && fail "twig_convert accepted a whole-blob summary: $OUT"
+case "$OUT" in
+  *'not a TWCST03 store'*) : ;;
+  *) fail "twig_convert did not print the open error: $OUT" ;;
+esac
+OUT=$("$SERVE" --port=0 --store="$OLD" 2>&1) \
+    && fail "twig_serve served a whole-blob summary: $OUT"
+case "$OUT" in
+  *'--store: '*'not a TWCST03 store'*) : ;;
+  *) fail "twig_serve did not print the open error: $OUT" ;;
+esac
+
 # Same generated data, same space budget, served through 1 KiB pages:
 # the estimate must reproduce the in-memory answer bit for bit.
 PAGED_LINE=$("$CLIENT" --port="$PORT" --op=estimate \
@@ -340,6 +379,11 @@ fi
 "$CLIENT" --port="$PORT" --op=estimate --query='article(author, year)' \
     >/dev/null 2>&1 \
     && fail "estimate unexpectedly succeeded with storage/checksum armed"
+# explain runs its estimate off the service queue, and must fail the
+# same way rather than trace a number computed from misses.
+"$CLIENT" --port="$PORT" --op=explain --query='article(author, year)' \
+    >/dev/null 2>&1 \
+    && fail "explain unexpectedly succeeded with storage/checksum armed"
 # ...and health degrades with the storage reason instead of crashing.
 HEALTH=$("$CLIENT" --port="$PORT" --op=health) || fail "health verb failed"
 case "$HEALTH" in

@@ -92,13 +92,6 @@ class Cst final : public CstView {
   Match LongestMatch(std::span<const suffix::Symbol> symbols,
                      size_t start) const override;
 
-  /// All child edges of `node`, sorted by symbol, as a zero-copy span
-  /// into the flat index (valid for the Cst's lifetime). Generic
-  /// callers go through CopyChildren instead.
-  std::span<const suffix::ChildIndex::Entry> ChildrenOf(CstNodeId node) const {
-    return child_index_.Children(node);
-  }
-
   size_t CopyChildren(CstNodeId node,
                       std::vector<suffix::ChildIndex::Entry>* out)
       const override {
@@ -153,23 +146,15 @@ class Cst final : public CstView {
 
   // -- Serialization --------------------------------------------------------
 
-  /// Serializes the CST to a compact binary blob (host endianness).
-  /// The blob is self-contained: counts, signatures, and the label
-  /// table are included, so estimation needs no access to the data.
-  std::string Serialize() const;
-
-  /// Reconstructs a CST from Serialize() output. Returns Corruption on
-  /// malformed input.
-  static Result<Cst> Deserialize(std::string_view blob);
-
-  /// Serializes the CST in the paged TWCST03 format (cst/paged_cst.h):
-  /// fixed-size self-checksummed pages that cst::PagedCst reads back
-  /// on demand through a storage::BufferManager. InvalidArgument when
-  /// `page_size` is not a power of two in storage's supported range or
-  /// is too small to hold one record (a signature of the default
-  /// length needs >= 512-byte pages).
+  /// Serializes the CST as a TWCST03 store (cst/paged_cst.h), the
+  /// summary's only on-disk format: fixed-size self-checksummed pages
+  /// that cst::PagedCst reads back on demand through a
+  /// storage::BufferManager. The store is self-contained (counts,
+  /// signatures and the label table), so estimation needs no access to
+  /// the data. InvalidArgument when `page_size` is not a power of two
+  /// in storage's supported range or is too small to hold one record (a
+  /// signature of the default length needs >= 512-byte pages).
   Result<std::string> SerializePaged(size_t page_size) const;
-  Result<std::string> SerializePaged() const;  // storage::kDefaultPageBytes
 
   /// Rebuilds a fully in-memory Cst from any CstView (e.g. a paged
   /// TWCST03 reader), by walking every node. The result answers every

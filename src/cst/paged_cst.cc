@@ -1,9 +1,6 @@
 #include "cst/paged_cst.h"
 
-#include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "storage/page.h"
 #include "storage/page_writer.h"
@@ -13,8 +10,7 @@ namespace twig::cst {
 namespace {
 
 /// Fixed node record: symbol, parent, depth, starts_with_tag (u32),
-/// C_p, C_o (f64), signature_index — the same fields, same order, as
-/// one TWCST02 node record.
+/// C_p, C_o (f64), signature_index.
 constexpr uint32_t kNodeRecordBytes =
     4 * sizeof(uint32_t) + 2 * sizeof(double) + sizeof(uint32_t);
 constexpr uint32_t kOffsetRecordBytes = sizeof(uint32_t);
@@ -52,23 +48,6 @@ Status PageTypeMismatch(const std::string& name, uint32_t page_id,
 }
 
 }  // namespace
-
-// ----------------------------------------------------------- sniffer
-
-CstFormat SniffCstFormat(std::string_view bytes) {
-  static constexpr char kTwcst02Magic[8] = {'T', 'W', 'C', 'S',
-                                            'T', '0', '2', '\0'};
-  if (bytes.size() >= sizeof(kTwcst02Magic) &&
-      std::memcmp(bytes.data(), kTwcst02Magic, sizeof(kTwcst02Magic)) == 0) {
-    return CstFormat::kTwcst02;
-  }
-  if (bytes.size() >= sizeof(storage::kPageMagicBytes) &&
-      std::memcmp(bytes.data(), storage::kPageMagicBytes,
-                  sizeof(storage::kPageMagicBytes)) == 0) {
-    return CstFormat::kTwcst03;
-  }
-  return CstFormat::kUnknown;
-}
 
 // ------------------------------------------------------------ writer
 
@@ -194,10 +173,6 @@ Result<std::string> Cst::SerializePaged(size_t page_size) const {
   return w.Finish();
 }
 
-Result<std::string> Cst::SerializePaged() const {
-  return SerializePaged(storage::kDefaultPageBytes);
-}
-
 // ------------------------------------------------------------ reader
 
 Result<std::shared_ptr<PagedCst>> PagedCst::Open(
@@ -208,19 +183,8 @@ Result<std::shared_ptr<PagedCst>> PagedCst::Open(
   }
   std::shared_ptr<PagedCst> cst(new PagedCst());
   cst->source_ = std::move(source);
-  if (options.buffer != nullptr) {
-    if (options.buffer->page_size() != cst->source_->page_size()) {
-      return Status::InvalidArgument(
-          cst->source_->name() + ": store page size " +
-          std::to_string(cst->source_->page_size()) +
-          " does not match the shared buffer pool's " +
-          std::to_string(options.buffer->page_size()));
-    }
-    cst->buffer_ = options.buffer;
-  } else {
-    cst->buffer_ = std::make_shared<storage::BufferManager>(
-        options.pool_bytes, cst->source_->page_size());
-  }
+  cst->buffer_ = std::make_shared<storage::BufferManager>(
+      options.pool_bytes, cst->source_->page_size());
   Result<uint64_t> id = cst->buffer_->RegisterSource(cst->source_);
   if (!id.ok()) return id.status();
   cst->source_id_ = id.value();
@@ -305,6 +269,12 @@ Status PagedCst::ParseMeta(std::string_view payload,
     return corrupt("more signatures than nodes");
   }
   const size_t capacity = storage::PageCapacity(page_size);
+  // Bounded before the record size is computed: a huge length could
+  // wrap into a record size that matches the directory, and a reader
+  // would then size each signature copy by it.
+  if (meta_.signature_length > capacity / sizeof(uint32_t)) {
+    return corrupt("signature length exceeds a page");
+  }
   const size_t sig_record = meta_.signature_length * sizeof(uint32_t);
   struct Expectation {
     const Section* section;
@@ -455,6 +425,23 @@ bool PagedCst::ReadNode(CstNodeId node, NodeRecord* out) const {
   get(&out->co);
   get(&out->signature_index);
   out->starts_with_tag = starts != 0;
+  // The checks a record must pass before any field is used: a symbol
+  // the child index could hold, a tag that names a stored label, and a
+  // parent that precedes the node, so parent walks always end.
+  const char* bad = nullptr;
+  if (out->symbol > suffix::kMaxSymbol) {
+    bad = "symbol out of range";
+  } else if (suffix::IsTagSymbol(out->symbol) &&
+             suffix::SymbolLabel(out->symbol) >= meta_.label_count) {
+    bad = "tag symbol has no label";
+  } else if (node == 0 ? out->parent != kNoCstNode : out->parent >= node) {
+    bad = "parent out of order";
+  }
+  if (bad != nullptr) {
+    RecordError(Status::Corruption(source_->name() + ": node " +
+                                   std::to_string(node) + ": " + bad));
+    return false;
+  }
   return true;
 }
 
@@ -543,6 +530,12 @@ size_t PagedCst::CopyChildren(CstNodeId node,
     suffix::ChildIndex::Entry entry;
     std::memcpy(&entry.symbol, record, sizeof(uint32_t));
     std::memcpy(&entry.child, record + sizeof(uint32_t), sizeof(uint32_t));
+    if (entry.child == 0 || entry.child >= meta_.node_count) {
+      RecordError(Status::Corruption(source_->name() +
+                                     ": child id out of range"));
+      out->clear();
+      return 0;
+    }
     out->push_back(entry);
   }
   return out->size();
@@ -599,69 +592,6 @@ suffix::Symbol PagedCst::GetSymbol(CstNodeId node) const {
 CstNodeId PagedCst::Parent(CstNodeId node) const {
   NodeRecord record;
   return ReadNode(node, &record) ? record.parent : kNoCstNode;
-}
-
-// ----------------------------------------------------------- loaders
-
-Result<std::shared_ptr<const CstView>> LoadCstBlob(
-    std::string bytes, std::string name, const PagedCstOptions& options) {
-  switch (SniffCstFormat(bytes)) {
-    case CstFormat::kTwcst02: {
-      Result<Cst> cst = Cst::Deserialize(bytes);
-      if (!cst.ok()) return cst.status();
-      return std::shared_ptr<const CstView>(
-          std::make_shared<Cst>(std::move(cst.value())));
-    }
-    case CstFormat::kTwcst03: {
-      Result<std::unique_ptr<storage::BlobPageSource>> source =
-          storage::BlobPageSource::Open(std::move(bytes), std::move(name));
-      if (!source.ok()) return source.status();
-      Result<std::shared_ptr<PagedCst>> paged = PagedCst::Open(
-          std::shared_ptr<const storage::PageSource>(
-              std::move(source.value())),
-          options);
-      if (!paged.ok()) return paged.status();
-      return std::shared_ptr<const CstView>(paged.value());
-    }
-    case CstFormat::kUnknown:
-      break;
-  }
-  return Status::Corruption(name + ": unrecognized CST format (neither "
-                            "TWCST02 nor TWCST03 magic)");
-}
-
-Result<std::shared_ptr<const CstView>> LoadCstFile(
-    const std::string& path, const PagedCstOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound(path + ": cannot open");
-  }
-  char head[8] = {};
-  in.read(head, sizeof(head));
-  const std::string_view prefix(head, static_cast<size_t>(in.gcount()));
-  switch (SniffCstFormat(prefix)) {
-    case CstFormat::kTwcst02: {
-      // Whole-blob format: read it all and materialize.
-      in.seekg(0);
-      std::ostringstream contents;
-      contents << in.rdbuf();
-      if (!in.good() && !in.eof()) {
-        return Status::Internal(path + ": read failed");
-      }
-      return LoadCstBlob(std::move(contents).str(), path, options);
-    }
-    case CstFormat::kTwcst03: {
-      in.close();
-      Result<std::shared_ptr<PagedCst>> paged =
-          PagedCst::OpenFile(path, options);
-      if (!paged.ok()) return paged.status();
-      return std::shared_ptr<const CstView>(paged.value());
-    }
-    case CstFormat::kUnknown:
-      break;
-  }
-  return Status::Corruption(path + ": unrecognized CST format (neither "
-                            "TWCST02 nor TWCST03 magic)");
 }
 
 }  // namespace twig::cst

@@ -1,14 +1,14 @@
-// Demand-paged CST reader over the TWCST03 store format, plus the
-// format sniffer that routes load sites between TWCST02 (whole-blob,
-// materialized) and TWCST03 (paged).
+// Demand-paged CST reader over the TWCST03 store format, the CST's
+// only serialized form (Cst::SerializePaged writes it).
 //
-// TWCST03 layout — everything TWCST02 carries, re-arranged into
+// TWCST03 layout — everything the summary carries, arranged into
 // fixed-size self-checksummed pages (storage/page.h) so a reader can
 // verify and cache exactly the bytes a walk touches:
 //
 //   page 0 (kMeta)     store magic/version/geometry, the global
 //                      scalars, and the section directory
-//   kNodes             36-byte node records (same fields as TWCST02)
+//   kNodes             36-byte node records (symbol, parent, depth,
+//                      starts_with_tag, C_p, C_o, signature index)
 //   kChildOffsets      node_count+1 u32 span offsets
 //   kChildEntries      node_count-1 (symbol, child) u32 pairs
 //   kSignatures        signature_count records of signature_length u32s
@@ -21,12 +21,18 @@
 // and needed for every query's tag resolution.
 //
 // PagedCst implements CstView by pinning pages through a
-// storage::BufferManager. Accessors degrade to a miss on IO/checksum
-// errors (kNoCstNode, zero counts, no signature) and record the error:
-// storage_health() holds the first failure sticky, storage_error_count()
-// counts every degraded access. serve/service.cc snapshots the count
-// around each estimate, so a degraded read fails the request instead
-// of silently skewing it.
+// storage::BufferManager. A store is untrusted input: Open validates
+// the meta page and the labels (unique names), and every record read
+// is checked before it is used — node symbols within
+// suffix::kMaxSymbol, tag symbols naming a stored label, parents
+// before their children, child and signature ids in range. Accessors
+// degrade to a miss on IO/checksum errors and on records that fail
+// those checks (kNoCstNode, zero counts, no signature) and record the
+// error: storage_health() holds the first failure sticky,
+// storage_error_count() counts every degraded access.
+// serve::TryEstimateFailClosed snapshots the count around each
+// estimate, so a degraded read fails the request instead of silently
+// skewing it.
 
 #ifndef TWIG_CST_PAGED_CST_H_
 #define TWIG_CST_PAGED_CST_H_
@@ -47,29 +53,18 @@
 
 namespace twig::cst {
 
-/// Which serialized CST format a byte stream holds, by magic prefix.
-enum class CstFormat {
-  kUnknown,
-  kTwcst02,  // "TWCST02\0" — whole-blob, Cst::Deserialize
-  kTwcst03,  // "TWP3"      — paged, PagedCst::Open
-};
-
-CstFormat SniffCstFormat(std::string_view bytes);
-
 struct PagedCstOptions {
-  /// Buffer pool size when `buffer` is not supplied.
+  /// Size of the reader's private buffer pool.
   size_t pool_bytes = 16 * 1024 * 1024;
-
-  /// Optional shared pool (its page size must match the store's). When
-  /// null, the PagedCst owns a private pool of `pool_bytes`.
-  std::shared_ptr<storage::BufferManager> buffer;
 };
 
 class PagedCst final : public CstView {
  public:
-  /// Opens a paged CST over `source`: registers it with the buffer
-  /// pool, pins and parses the meta page, and eagerly loads the label
-  /// table. Returns Corruption for structural problems.
+  /// Opens a paged CST over `source`: registers it with a private
+  /// buffer pool of `options.pool_bytes`, pins and parses the meta
+  /// page, and eagerly loads the label table. Returns Corruption for
+  /// structural problems, including a source that is not a TWCST03
+  /// store.
   static Result<std::shared_ptr<PagedCst>> Open(
       std::shared_ptr<const storage::PageSource> source,
       const PagedCstOptions& options = {});
@@ -163,6 +158,8 @@ class PagedCst final : public CstView {
   /// including a page of another section's type (recorded).
   const char* PinRecord(const Section& section, uint64_t index,
                         storage::PinnedPage* pin) const;
+  /// Decodes node record `node` and checks it (see the header comment).
+  /// False, with the error recorded, when the read or a check fails.
   bool ReadNode(CstNodeId node, NodeRecord* out) const;
   bool ReadOffsets(CstNodeId node, uint32_t* lo, uint32_t* hi) const;
   void RecordError(const Status& status) const;
@@ -177,17 +174,6 @@ class PagedCst final : public CstView {
   mutable std::mutex error_mutex_;
   mutable Status first_error_;  // guarded by error_mutex_
 };
-
-/// Loads a serialized CST of either format from `bytes`: TWCST02
-/// deserializes into an in-memory Cst, TWCST03 opens a paged reader
-/// over a blob source. `name` labels errors.
-Result<std::shared_ptr<const CstView>> LoadCstBlob(
-    std::string bytes, std::string name, const PagedCstOptions& options = {});
-
-/// Loads a serialized CST file of either format: sniffs the prefix,
-/// then Cst::Deserialize (whole read) or PagedCst::OpenFile (paged).
-Result<std::shared_ptr<const CstView>> LoadCstFile(
-    const std::string& path, const PagedCstOptions& options = {});
 
 }  // namespace twig::cst
 

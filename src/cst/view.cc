@@ -1,5 +1,7 @@
 #include "cst/view.h"
 
+#include <algorithm>
+
 namespace twig::cst {
 
 CstView::Match CstView::LongestMatch(std::span<const suffix::Symbol> symbols,
@@ -17,11 +19,16 @@ CstView::Match CstView::LongestMatch(std::span<const suffix::Symbol> symbols,
 }
 
 std::string CstView::DescribeSubpath(CstNodeId node) const {
-  // Collect symbols root-to-node.
-  std::vector<suffix::Symbol> symbols(Depth(node));
-  for (CstNodeId n = node; n != root(); n = Parent(n)) {
-    symbols[Depth(n) - 1] = GetSymbol(n);
+  // Collect symbols node-to-root, then reverse. A failed paged read
+  // answers kNoCstNode or kUnknownSymbol and ends the walk; a parent
+  // always has a smaller id than its child, so the walk ends anyway.
+  std::vector<suffix::Symbol> symbols;
+  for (CstNodeId n = node; n != root() && n != kNoCstNode; n = Parent(n)) {
+    const suffix::Symbol symbol = GetSymbol(n);
+    if (symbol == kUnknownSymbol) break;
+    symbols.push_back(symbol);
   }
+  std::reverse(symbols.begin(), symbols.end());
   std::string out;
   bool prev_was_char = false;
   for (suffix::Symbol s : symbols) {

@@ -26,11 +26,12 @@
 //     not allocate in steady state.
 //
 // Reads never fail loudly mid-walk: a paged implementation that hits
-// an IO or checksum error degrades the failing access to a miss
-// (kNoCstNode / zero counts / no signature) and records the error;
-// callers that need the no-silent-wrong-answer contract check
-// storage_error_count() around an estimate (serve/service.cc does, and
-// fails the request instead of returning a poisoned number).
+// an IO or checksum error, or a record that fails its checks,
+// degrades the failing access to a miss (kNoCstNode / zero counts / no
+// signature) and records the error; callers that need the
+// no-silent-wrong-answer contract check storage_error_count() around
+// an estimate (serve::TryEstimateFailClosed does, and fails the request
+// instead of returning a poisoned number).
 
 #ifndef TWIG_CST_VIEW_H_
 #define TWIG_CST_VIEW_H_
@@ -108,7 +109,9 @@ class CstView {
   virtual CstNodeId Parent(CstNodeId node) const = 0;
 
   /// Renders the node's full subpath for diagnostics and explain
-  /// traces ("book.author.Su"). The root renders as "".
+  /// traces ("book.author.Su"). The root renders as "". It follows
+  /// parent links rather than trusting Depth(), so a paged view whose
+  /// reads fail mid-walk renders the part it could read.
   std::string DescribeSubpath(CstNodeId node) const;
 
   // -- Global statistics ---------------------------------------------------
@@ -127,9 +130,6 @@ class CstView {
   virtual size_t signature_count() const = 0;
   virtual size_t signature_length() const = 0;
   virtual size_t max_value_chars() const = 0;
-  size_t signature_bytes() const {
-    return signature_count() * signature_length() * sizeof(uint32_t);
-  }
 
   // -- Storage health ------------------------------------------------------
 

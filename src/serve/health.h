@@ -13,8 +13,9 @@
 //
 // Degraded is the sticky operator-facing state: something is wrong but
 // the service still answers from the last good snapshot (the canonical
-// producer is a failed rebuild — e.g. a corrupt TWCST02 blob — which
-// leaves the previous snapshot published). It carries a reason string
+// producer is a failed rebuild — e.g. a corrupt TWCST03 store — which
+// leaves the previous snapshot published; failed page reads of a
+// served store are the other). It carries a reason string
 // for the `health` wire verb and clears when the condition does (the
 // next successful rebuild).
 //

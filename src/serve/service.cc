@@ -21,6 +21,28 @@ uint64_t ToNanos(Clock::duration d) {
 
 }  // namespace
 
+Result<double> TryEstimateFailClosed(const cst::CstView& summary,
+                                     const query::Twig& twig,
+                                     core::Algorithm algorithm,
+                                     const core::EstimateOptions& options,
+                                     HealthMonitor* health) {
+  // The count is per summary, not per request, so a concurrent
+  // request's failed read on the same summary fails this one as well.
+  const uint64_t errors_before = summary.storage_error_count();
+  Result<double> estimate =
+      core::TwigEstimator(&summary).TryEstimate(twig, algorithm, options);
+  const uint64_t errors = summary.storage_error_count() - errors_before;
+  if (!estimate.ok() || errors == 0) return estimate;
+  const Status cause = summary.storage_health();
+  health->SetDegraded("storage: " + std::string(cause.ok()
+                                                    ? "failed page reads"
+                                                    : cause.message()));
+  return Status::Unavailable(
+      "summary storage degraded (" + std::to_string(errors) +
+      " failed page reads): " +
+      std::string(cause.ok() ? "unknown cause" : cause.message()));
+}
+
 namespace {
 
 std::unique_ptr<DatasetCatalog> WrapAsDefault(SnapshotCatalog* catalog) {
@@ -288,32 +310,13 @@ void EstimateService::ServeLoop() {
       item.done(std::move(response));
       continue;
     }
-    const core::TwigEstimator estimator(snapshot->summary.get());
     core::EstimateOptions eopt;
     eopt.semantics = item.request.semantics;
-    // A paged summary degrades failed page reads to misses rather than
-    // erroring mid-walk; bracketing the estimate with its error count
-    // turns any such degradation into a failed request instead of a
-    // silently skewed estimate.
-    const uint64_t storage_errors_before =
-        snapshot->summary->storage_error_count();
     const auto t0 = Clock::now();
-    Result<double> estimate =
-        estimator.TryEstimate(item.request.twig, item.request.algorithm,
-                              eopt);
+    const Result<double> estimate =
+        TryEstimateFailClosed(*snapshot->summary, item.request.twig,
+                              item.request.algorithm, eopt, &health_);
     const auto elapsed = Clock::now() - t0;
-    const uint64_t storage_errors =
-        snapshot->summary->storage_error_count() - storage_errors_before;
-    if (estimate.ok() && storage_errors > 0) {
-      const Status cause = snapshot->summary->storage_health();
-      estimate = Status::Unavailable(
-          "summary storage degraded (" + std::to_string(storage_errors) +
-          " failed page reads): " +
-          std::string(cause.ok() ? "unknown cause" : cause.message()));
-      health_.SetDegraded("storage: " +
-                          std::string(cause.ok() ? "failed page reads"
-                                                 : cause.message()));
-    }
     registry.RecordLatency(static_cast<size_t>(item.request.algorithm),
                            ToNanos(elapsed));
     item.span.Mark(obs::SpanStage::kEstimated);

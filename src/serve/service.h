@@ -145,6 +145,18 @@ struct EstimateResponse {
   std::chrono::milliseconds retry_after{0};
 };
 
+/// Runs one estimate on `summary` and fails it closed. A paged summary
+/// degrades a failed page read to a miss mid-walk instead of erroring;
+/// if any read degraded while this estimate ran, the result is
+/// Unavailable, never the skewed number, and `health` turns degraded
+/// with the storage cause. The service's workers and the TCP `explain`
+/// verb both estimate through it.
+Result<double> TryEstimateFailClosed(const cst::CstView& summary,
+                                     const query::Twig& twig,
+                                     core::Algorithm algorithm,
+                                     const core::EstimateOptions& options,
+                                     HealthMonitor* health);
+
 class EstimateService {
  public:
   /// Single-dataset compatibility constructor: wraps `catalog` as the

@@ -12,9 +12,9 @@
 // bump under a mutex held for a pointer copy.
 //
 // Rebuilds run off-thread (BeginRebuild): the builder callback
-// constructs a CST from whatever source the caller closes over — the
-// data tree, or a serialized TWCST02 blob via cst::Cst::Deserialize —
-// and the catalog hot-swaps on completion. One rebuild may be in
+// constructs a summary from whatever source the caller closes over —
+// the data tree, or a TWCST03 store via cst::PagedCst::OpenFile — and
+// the catalog hot-swaps on completion. One rebuild may be in
 // flight at a time; a second BeginRebuild is refused rather than
 // queued (the newest data wins anyway once the current rebuild lands).
 
@@ -54,7 +54,7 @@ struct CstSnapshot {
   /// Never null in a published snapshot.
   std::shared_ptr<const cst::CstView> summary;
   /// The data tree the summary was built from, when the publisher
-  /// still has it (nullptr for blob-deserialized snapshots). The
+  /// still has it (nullptr for snapshots opened from a store). The
   /// accuracy sampler re-executes requests against it; absent, the
   /// sampler skips the request.
   std::shared_ptr<const tree::Tree> data;

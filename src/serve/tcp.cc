@@ -646,14 +646,15 @@ std::string TcpFrontEnd::HandleExplain(const WireRequest& request) {
                          Status::Unavailable("no snapshot published yet"));
   }
   // Traces are single-query sinks, so explain runs on the worker
-  // thread with a local trace instead of going through the service.
+  // thread with a local trace instead of going through the service,
+  // but fails closed on storage errors exactly as the service does.
   obs::Trace trace;
   core::EstimateOptions eopt;
   eopt.semantics = request.semantics;
   eopt.trace = &trace;
-  const core::TwigEstimator estimator(snapshot->summary.get());
   const Result<double> estimate =
-      estimator.TryEstimate(twig.value(), request.algorithm, eopt);
+      TryEstimateFailClosed(*snapshot->summary, twig.value(),
+                            request.algorithm, eopt, &service_->health());
   if (!estimate.ok()) return ErrorResponse(&request, estimate.status());
   return ExplainResponse(request, trace.ToJson(), snapshot->version);
 }

@@ -3,9 +3,8 @@
 //
 // A store is an array of `page_size` pages. Every page opens with a
 // 24-byte header and carries its own FNV-1a checksum over the rest of
-// the page (PR 8's whole-blob footer, pushed down to per-page
-// granularity so a demand-paged reader can verify exactly the bytes it
-// touches):
+// the page, so a demand-paged reader can verify exactly the bytes it
+// touches:
 //
 //   offset  field          meaning
 //   ------  -------------  -------------------------------------------
@@ -36,8 +35,7 @@
 
 namespace twig::storage {
 
-/// "TWP3" in byte order; distinct from every TWCST02 prefix so the
-/// format sniffer can tell the two apart from the first four bytes.
+/// "TWP3" in byte order: the first four bytes of every page.
 inline constexpr char kPageMagicBytes[4] = {'T', 'W', 'P', '3'};
 
 /// Default page size. 64 KiB amortizes the per-page header and

@@ -26,6 +26,12 @@ Status CheckStoreGeometry(std::string_view head, size_t total_bytes,
         name + ": store truncated (" + std::to_string(total_bytes) +
         " bytes, geometry needs " + std::to_string(need) + ")");
   }
+  if (total_bytes > need) {
+    return Status::Corruption(
+        name + ": trailing bytes after the last page (" +
+        std::to_string(total_bytes) + " bytes, geometry needs " +
+        std::to_string(need) + ")");
+  }
   return Status::OK();
 }
 

@@ -4,16 +4,17 @@
 // bytes. Two implementations:
 //
 //   BlobPageSource — pages served out of an in-memory string. Used by
-//     tests and by serialize-then-reopen flows that never touch disk.
+//     tests and bench_storage, which never touch disk.
 //   FilePageSource — a .twcst03 file read with pread(2), each page
 //     straight into the buffer-pool frame that asked for it. The pool
 //     is the only copy of the store the process holds; the kernel's
 //     page cache still serves cold reads, shared across processes and
 //     re-opens, but is not charged to the reader.
 //
-// Both verify at Open that the byte stream is page-aligned and large
-// enough for the geometry the meta page declares, so a truncated store
-// fails fast instead of at some later pin.
+// Both verify at Open that the byte stream is exactly as long as the
+// geometry the meta page declares, so a truncated store fails fast
+// instead of at some later pin, and a store with trailing bytes is
+// refused.
 
 #ifndef TWIG_STORAGE_PAGE_SOURCE_H_
 #define TWIG_STORAGE_PAGE_SOURCE_H_
@@ -94,7 +95,9 @@ class FilePageSource : public PageSource {
 };
 
 /// Validates the byte-stream geometry shared by both sources: probes
-/// the meta prefix, checks `total_bytes` covers page_size * page_count.
+/// the meta prefix, checks `total_bytes` is exactly page_size *
+/// page_count (a short stream is truncated; trailing bytes are not part
+/// of any page, so a longer one is not a store either).
 Status CheckStoreGeometry(std::string_view head, size_t total_bytes,
                           const std::string& name, uint32_t* page_size,
                           uint32_t* page_count);

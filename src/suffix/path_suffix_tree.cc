@@ -8,11 +8,6 @@
 
 namespace twig::suffix {
 
-std::string SymbolToString(Symbol s, const tree::LabelTable& labels) {
-  if (IsTagSymbol(s)) return std::string(labels.Name(SymbolLabel(s)));
-  return std::string(1, SymbolChar(s));
-}
-
 namespace {
 
 constexpr uint32_t kNoPath = 0xffffffffu;

@@ -10,7 +10,6 @@
 #define TWIG_SUFFIX_SYMBOL_H_
 
 #include <cstdint>
-#include <string>
 
 #include "tree/label_table.h"
 
@@ -39,10 +38,6 @@ inline bool IsTagSymbol(Symbol s) { return s >= kFirstTagSymbol; }
 inline tree::LabelId SymbolLabel(Symbol s) { return s - kFirstTagSymbol; }
 
 inline char SymbolChar(Symbol s) { return static_cast<char>(s); }
-
-/// Renders a symbol for diagnostics: the tag name via `labels`, or the
-/// character.
-std::string SymbolToString(Symbol s, const tree::LabelTable& labels);
 
 }  // namespace twig::suffix
 

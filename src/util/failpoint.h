@@ -1,7 +1,7 @@
 // Deterministic fault injection: named failpoints compiled into the
-// riskiest seams of the serving path (TWCST02 deserialization, snapshot
-// rebuild/publish, queue admission, worker estimate execution, TCP
-// read/write) and activated at runtime — `twig_serve
+// riskiest seams of the serving path (snapshot rebuild/publish, queue
+// admission, worker estimate execution, TCP read/write, store page
+// reads and checksums) and activated at runtime — `twig_serve
 // --failpoints=name=action:arg,...` at startup, or the `failpoint` wire
 // verb mid-run.
 //
@@ -27,8 +27,9 @@
 //                       (the handler is injectable for tests)
 //
 // Call sites decide what a fired error *means*: the serving layer
-// forwards the transient Unavailable, Cst::Deserialize maps it to the
-// same structured Corruption a hostile blob would produce.
+// forwards the transient Unavailable, the buffer pool's checksum seam
+// maps it to the same structured Corruption a damaged page would
+// produce.
 
 #ifndef TWIG_UTIL_FAILPOINT_H_
 #define TWIG_UTIL_FAILPOINT_H_

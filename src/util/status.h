@@ -1,7 +1,7 @@
 // Lightweight Status / Result error-handling primitives.
 //
 // The library does not use exceptions on its hot paths; fallible
-// operations (parsing XML, parsing query syntax, deserializing a CST)
+// operations (parsing XML, parsing query syntax, opening a CST store)
 // return a Status or a Result<T> in the style of Arrow / RocksDB.
 
 #ifndef TWIG_UTIL_STATUS_H_

@@ -5,10 +5,12 @@
 
 #include "core/estimator.h"
 #include "cst/cst.h"
+#include "cst/paged_cst.h"
 #include "data/generators.h"
 #include "exp/harness.h"
 #include "match/matcher.h"
 #include "query/twig.h"
+#include "storage/page_source.h"
 #include "suffix/path_suffix_tree.h"
 #include "workload/workload.h"
 #include "xml/xml.h"
@@ -154,6 +156,9 @@ TEST(IntegrationTest, HarnessEvaluatesAllAlgorithms) {
 }
 
 TEST(IntegrationTest, SerializedCstGivesIdenticalEstimates) {
+  // Three storage paths of one summary: in memory, paged through a
+  // 4-frame pool that evicts on nearly every walk, and materialized
+  // back from the pages. Every estimate must be bit-identical.
   data::DblpOptions options;
   options.target_bytes = 48 * 1024;
   tree::Tree data = data::GenerateDblp(options);
@@ -161,21 +166,42 @@ TEST(IntegrationTest, SerializedCstGivesIdenticalEstimates) {
   cst::CstOptions copt;
   copt.space_budget_bytes = xml::XmlByteSize(data) / 20;
   cst::Cst original = cst::Cst::Build(data, pst, copt);
-  auto restored = cst::Cst::Deserialize(original.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
-  core::TwigEstimator before(&original);
-  core::TwigEstimator after(&*restored);
+  constexpr size_t kPageBytes = 512;
+  auto store = original.SerializePaged(kPageBytes);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto source =
+      storage::BlobPageSource::Open(std::move(store).value(), "integration");
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  cst::PagedCstOptions popt;
+  popt.pool_bytes = 4 * kPageBytes;
+  auto paged = cst::PagedCst::Open(
+      std::shared_ptr<const storage::PageSource>(std::move(source).value()),
+      popt);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  auto materialized = cst::Cst::Materialize(*paged.value());
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+
+  const core::TwigEstimator in_memory(&original);
+  const core::TwigEstimator through_pages(paged.value().get());
+  const core::TwigEstimator round_trip(&materialized.value());
   workload::WorkloadOptions wopt;
   wopt.num_queries = 25;
   wopt.seed = 14;
   wopt.compute_true_counts = false;
   for (const auto& wq : workload::GeneratePositive(data, wopt)) {
     for (core::Algorithm a : core::kAllAlgorithms) {
-      EXPECT_DOUBLE_EQ(before.Estimate(wq.twig, a), after.Estimate(wq.twig, a))
-          << core::AlgorithmName(a) << " on " << query::FormatTwig(wq.twig);
+      const double expected = in_memory.Estimate(wq.twig, a);
+      EXPECT_EQ(through_pages.Estimate(wq.twig, a), expected)
+          << "paged " << core::AlgorithmName(a) << " on "
+          << query::FormatTwig(wq.twig);
+      EXPECT_EQ(round_trip.Estimate(wq.twig, a), expected)
+          << "materialized " << core::AlgorithmName(a) << " on "
+          << query::FormatTwig(wq.twig);
     }
   }
+  EXPECT_GT(paged.value()->buffer().stats().evictions, 0u);
+  EXPECT_EQ(paged.value()->storage_error_count(), 0u);
 }
 
 TEST(IntegrationTest, SwissProtPipelineWorks) {

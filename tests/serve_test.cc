@@ -27,6 +27,7 @@
 #include "core/canonical.h"
 #include "core/estimator.h"
 #include "cst/cst.h"
+#include "cst/paged_cst.h"
 #include "data/generators.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -41,6 +42,7 @@
 #include "serve/snapshot.h"
 #include "serve/tcp.h"
 #include "serve/wire.h"
+#include "storage/page_source.h"
 #include "util/failpoint.h"
 #include "suffix/path_suffix_tree.h"
 #include "test_trees.h"
@@ -2203,6 +2205,51 @@ TEST_F(TcpFrontEndTest, HealthVerbTracksRebuildFailureAndRecovery) {
   health = MustParseJson(client.RoundTrip("{\"op\":\"health\",\"id\":4}"));
   EXPECT_EQ(health.GetString("state"), "ok");
   EXPECT_DOUBLE_EQ(health.GetNumber("version"), 2);
+}
+
+TEST_F(TcpFrontEndTest, ExplainAndEstimateFailClosedOnStorageErrors) {
+  StartServer();
+  // The same summary served paged through a 2-frame pool, so nearly
+  // every access reads the store again.
+  auto store = SharedCorpus().BuildCst(0.02).SerializePaged(512);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto source =
+      storage::BlobPageSource::Open(std::move(store).value(), "tcp-paged");
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  cst::PagedCstOptions popt;
+  popt.pool_bytes = 2 * 512;
+  auto paged = cst::PagedCst::Open(
+      std::shared_ptr<const storage::PageSource>(std::move(source).value()),
+      popt);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  catalog_.Publish(
+      std::shared_ptr<const cst::CstView>(std::move(paged).value()),
+      "paged");
+  TestClient client(front_end_->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(util::FailpointRegistry::Get()
+                  .Configure("storage/read", "error")
+                  .ok());
+
+  // Failed reads degrade to misses mid-walk; a number computed from
+  // them is wrong, so both verbs must refuse to answer.
+  for (const char* op : {"explain", "estimate"}) {
+    SCOPED_TRACE(op);
+    obs::JsonValue reply = MustParseJson(client.RoundTrip(
+        std::string("{\"op\":\"") + op +
+        "\",\"id\":1,\"query\":\"article(author, year)\"}"));
+    EXPECT_FALSE(reply.GetBool("ok"));
+    const obs::JsonValue* error = reply.Find("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->GetString("code"), "Unavailable");
+    EXPECT_NE(error->GetString("message").find("summary storage degraded"),
+              std::string_view::npos);
+  }
+  obs::JsonValue health =
+      MustParseJson(client.RoundTrip("{\"op\":\"health\",\"id\":2}"));
+  EXPECT_EQ(health.GetString("state"), "degraded");
+  EXPECT_NE(health.GetString("reason").find("storage: "),
+            std::string_view::npos);
 }
 
 TEST_F(TcpFrontEndTest, FailpointVerbArmsListsAndDisarmsOverTheWire) {

@@ -1,7 +1,8 @@
 // Tests for the disk-backed CST storage subsystem: the TWCST03 page
 // format, the pin/unpin buffer manager (including its concurrency
-// protocol), the demand-paged CST reader, hostile-store handling, the
-// store file source and writer, and the storage failpoint seams.
+// protocol), the demand-paged CST reader and its record checks,
+// hostile-store handling, the store file source and writer, and the
+// storage failpoint seams.
 
 #include <gtest/gtest.h>
 
@@ -18,14 +19,19 @@
 #include <thread>
 #include <vector>
 
+#include "core/estimator.h"
 #include "cst/cst.h"
 #include "cst/paged_cst.h"
 #include "data/generators.h"
+#include "query/twig.h"
+#include "serve/health.h"
+#include "serve/service.h"
 #include "storage/buffer_manager.h"
 #include "storage/page.h"
 #include "storage/page_source.h"
 #include "storage/page_writer.h"
 #include "suffix/path_suffix_tree.h"
+#include "suffix/symbol.h"
 #include "test_trees.h"
 #include "util/failpoint.h"
 
@@ -367,34 +373,6 @@ TEST(PagedCstTest, TinyPoolStaysCorrectWhileEvicting) {
   EXPECT_GT(paged->buffer().stats().evictions, 0u);
 }
 
-TEST(PagedCstTest, SniffsBothFormatsAndGarbage) {
-  const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
-  EXPECT_EQ(cst::SniffCstFormat(memory.Serialize()),
-            cst::CstFormat::kTwcst02);
-  auto paged = memory.SerializePaged(4096);
-  ASSERT_TRUE(paged.ok());
-  EXPECT_EQ(cst::SniffCstFormat(paged.value()), cst::CstFormat::kTwcst03);
-  EXPECT_EQ(cst::SniffCstFormat("not a CST at all"),
-            cst::CstFormat::kUnknown);
-  EXPECT_EQ(cst::SniffCstFormat(""), cst::CstFormat::kUnknown);
-}
-
-TEST(PagedCstTest, LoadCstBlobRoutesOnFormat) {
-  const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
-
-  auto from02 = cst::LoadCstBlob(memory.Serialize(), "tw02 blob");
-  ASSERT_TRUE(from02.ok()) << from02.status().ToString();
-  ExpectViewsAgree(memory, *from02.value());
-
-  auto blob03 = memory.SerializePaged(4096);
-  ASSERT_TRUE(blob03.ok());
-  auto from03 = cst::LoadCstBlob(std::move(blob03).value(), "tw03 blob");
-  ASSERT_TRUE(from03.ok()) << from03.status().ToString();
-  ExpectViewsAgree(memory, *from03.value());
-
-  EXPECT_FALSE(cst::LoadCstBlob("garbage bytes", "junk").ok());
-}
-
 /// A store path in the test temp dir, unique to this process and `tag`
 /// (sanitizer and plain suites may run side by side).
 std::string TempStorePath(const std::string& tag) {
@@ -409,21 +387,6 @@ std::shared_ptr<const cst::PagedCst> OpenPagedFile(const std::string& path,
   auto paged = cst::PagedCst::OpenFile(path, options);
   EXPECT_TRUE(paged.ok()) << paged.status().ToString();
   return paged.ok() ? std::move(paged).value() : nullptr;
-}
-
-TEST(PagedCstTest, LoadCstFileReadsAStore) {
-  const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
-  auto blob = memory.SerializePaged(4096);
-  ASSERT_TRUE(blob.ok());
-  const std::string path = TempStorePath("load");
-  ASSERT_TRUE(storage::WriteStoreFile(path, blob.value()).ok());
-  auto view = cst::LoadCstFile(path);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  ExpectViewsAgree(memory, *view.value());
-
-  EXPECT_EQ(cst::LoadCstFile(path + ".missing").status().code(),
-            StatusCode::kNotFound);
-  std::remove(path.c_str());
 }
 
 TEST(PagedCstTest, OpenReaderKeepsItsStoreWhenThePathIsReplaced) {
@@ -455,9 +418,12 @@ TEST(PagedCstTest, MaterializeRebuildsTheInMemoryCst) {
   auto round = cst::Cst::Materialize(*paged);
   ASSERT_TRUE(round.ok()) << round.status().ToString();
   ExpectViewsAgree(round.value(), *paged);
-  // The full loop — build, page out, page in, materialize — lands on
-  // the exact TWCST02 bytes of the original.
-  EXPECT_EQ(round.value().Serialize(), memory.Serialize());
+  // The full loop — build, page out, page in, materialize, page out —
+  // lands on the exact store bytes of the original.
+  const auto original_store = memory.SerializePaged(512);
+  const auto round_store = round.value().SerializePaged(512);
+  ASSERT_TRUE(original_store.ok() && round_store.ok());
+  EXPECT_TRUE(round_store.value() == original_store.value());
 }
 
 TEST(PagedCstTest, SerializePagedRejectsImpossiblePageSizes) {
@@ -502,6 +468,22 @@ TEST(Twcst03HostileTest, TruncatedStoreFailsToOpen) {
             StatusCode::kCorruption);
   // Shorter than the geometry prefix itself.
   EXPECT_FALSE(BlobPageSource::Open(blob.substr(0, 10), "stub").ok());
+  // Cut at every page boundary, down to nothing.
+  for (size_t pages = 0; pages < blob.size() / 512; ++pages) {
+    EXPECT_EQ(BlobPageSource::Open(blob.substr(0, pages * 512), "cut")
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << "cut to " << pages << " pages";
+  }
+}
+
+TEST(Twcst03HostileTest, TrailingByteFailsToOpen) {
+  const std::string blob = SerializedFigureOne(512);
+  const Status longer = BlobPageSource::Open(blob + "x", "longer").status();
+  EXPECT_EQ(longer.code(), StatusCode::kCorruption);
+  EXPECT_NE(longer.message().find("trailing bytes"), std::string::npos)
+      << longer.ToString();
 }
 
 TEST(Twcst03HostileTest, BitFlipInDataPageDegradesNotCrashes) {
@@ -662,6 +644,153 @@ TEST(Twcst03HostileTest, OversizedPageCountRejectedAtOpen) {
             StatusCode::kCorruption);
 }
 
+/// Field `field` (0 first_page, 1 page_count, 2 record_bytes,
+/// 3 records_per_page) of section descriptor `section` (0 nodes,
+/// 1 child offsets, 2 child entries, 3 signatures, 4 strings); the
+/// directory starts at meta payload offset 68.
+uint32_t DirectoryField(const std::string& blob, int section, int field) {
+  uint32_t value = 0;
+  std::memcpy(&value,
+              blob.data() + storage::kPageHeaderBytes + 68 + 16 * section +
+                  4 * field,
+              sizeof(value));
+  return value;
+}
+
+/// Figure One's 512-byte store with the u32 at byte `offset` of node
+/// `node`'s 36-byte record (0 symbol, 4 parent) set to `value`, and the
+/// page resealed: only the reader's record checks can catch it.
+std::string WithNodeField(cst::CstNodeId node, size_t offset,
+                          uint32_t value) {
+  std::string blob = SerializedFigureOne(512);
+  const uint32_t per_page = DirectoryField(blob, 0, 3);
+  const uint32_t page = DirectoryField(blob, 0, 0) + node / per_page;
+  std::memcpy(blob.data() + static_cast<size_t>(page) * 512 +
+                  storage::kPageHeaderBytes + (node % per_page) * 36 +
+                  offset,
+              &value, sizeof(value));
+  ResealPage(&blob, page, 512);
+  return blob;
+}
+
+/// `node`'s record passes its page checksum but fails a record check:
+/// every read of it degrades with Corruption, DescribeSubpath returns
+/// for every node, and the estimate of "book", which reads the record,
+/// fails closed.
+void ExpectBadRecordFailsClosed(std::string blob, cst::CstNodeId node) {
+  cst::PagedCstOptions options;
+  options.pool_bytes = 8 * 512;
+  auto paged = cst::PagedCst::Open(OpenBlob(std::move(blob)), options);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  const cst::PagedCst& view = *paged.value();
+  sethash::Signature scratch;
+  EXPECT_EQ(view.GetSymbol(node), cst::CstView::kUnknownSymbol);
+  EXPECT_EQ(view.Parent(node), cst::kNoCstNode);
+  EXPECT_EQ(view.PresenceCount(node), 0.0);
+  EXPECT_EQ(view.GetSignature(node, &scratch), nullptr);
+  const Status health = view.storage_health();
+  EXPECT_EQ(health.code(), StatusCode::kCorruption);
+  EXPECT_NE(health.message().find("node " + std::to_string(node) + ": "),
+            std::string::npos)
+      << health.ToString();
+  for (cst::CstNodeId n = 0; n < view.node_count(); ++n) {
+    (void)view.DescribeSubpath(n);
+  }
+  serve::HealthMonitor monitor;
+  const Result<double> estimate = serve::TryEstimateFailClosed(
+      view, query::ParseTwig("book").value(), core::Algorithm::kMsh, {},
+      &monitor);
+  EXPECT_EQ(estimate.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(monitor.Report().state, serve::HealthState::kDegraded);
+}
+
+TEST(Twcst03HostileTest, RecordsFailingAReadCheckFailClosed) {
+  const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
+  const cst::CstNodeId book =
+      memory.Step(memory.root(), memory.TagSymbolFor("book"));
+  ASSERT_NE(book, cst::kNoCstNode);
+  {
+    SCOPED_TRACE("symbol above kMaxSymbol");
+    ExpectBadRecordFailsClosed(
+        WithNodeField(book, 0, suffix::kMaxSymbol + 1), book);
+  }
+  {
+    SCOPED_TRACE("tag without a label");
+    const suffix::Symbol unlabeled = suffix::TagSymbol(
+        static_cast<tree::LabelId>(memory.labels().size()));
+    ExpectBadRecordFailsClosed(WithNodeField(book, 0, unlabeled), book);
+  }
+  {
+    // A node that is its own parent sends a parent walk round forever.
+    SCOPED_TRACE("parent equal to its own id");
+    ExpectBadRecordFailsClosed(WithNodeField(book, 4, book), book);
+  }
+}
+
+TEST(Twcst03HostileTest, DuplicateLabelNamesFailOpen) {
+  // Interning would collapse the duplicate and shift every later
+  // LabelId, attaching counts to the wrong tags.
+  std::string blob = SerializedFigureOne(512);
+  const uint32_t strings = DirectoryField(blob, 4, 0);
+  ASSERT_EQ(DirectoryField(blob, 4, 1), 1u);
+  const size_t page = static_cast<size_t>(strings) * 512;
+  const size_t year = blob.find("year", page);
+  ASSERT_LT(year, page + 512);
+  blob.replace(year, 4, "book");
+  ResealPage(&blob, strings, 512);
+  auto paged = cst::PagedCst::Open(OpenBlob(std::move(blob)));
+  EXPECT_EQ(paged.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(paged.status().message().find("duplicate label name"),
+            std::string::npos)
+      << paged.status().ToString();
+}
+
+TEST(Twcst03HostileTest, StampSweepOverEveryPageNeverCrashes) {
+  // 0xFF over every 4-byte window of every page, the page resealed each
+  // time so the decoders, not the checksum, see the bad bytes. Whatever
+  // the stamp hits, the store fails to open, or every read, every
+  // subpath rendering and an estimate return (bounds hold under ASan).
+  const std::string blob = SerializedFigureOne(512);
+  const query::Twig twig = query::ParseTwig("book(author, year)").value();
+  cst::PagedCstOptions options;
+  options.pool_bytes = 8 * 512;
+  std::vector<suffix::ChildIndex::Entry> children;
+  sethash::Signature scratch;
+  size_t opened = 0;
+  for (uint32_t page = 0; page < blob.size() / 512; ++page) {
+    for (size_t off = 0; off + 4 <= 512; ++off) {
+      std::string stamped = blob;
+      std::memset(stamped.data() + static_cast<size_t>(page) * 512 + off,
+                  0xff, 4);
+      ResealPage(&stamped, page, 512);
+      auto source = BlobPageSource::Open(std::move(stamped), "stamped");
+      if (!source.ok()) continue;
+      auto paged = cst::PagedCst::Open(
+          std::shared_ptr<const storage::PageSource>(
+              std::move(source).value()),
+          options);
+      if (!paged.ok()) continue;
+      ++opened;
+      const cst::PagedCst& view = *paged.value();
+      for (cst::CstNodeId n = 0; n < view.node_count(); ++n) {
+        (void)view.GetSymbol(n);
+        (void)view.Parent(n);
+        (void)view.Depth(n);
+        (void)view.StartsWithTag(n);
+        (void)view.PresenceCount(n);
+        (void)view.OccurrenceCount(n);
+        (void)view.GetSignature(n, &scratch);
+        view.CopyChildren(n, &children);
+        for (const auto& entry : children) (void)view.Step(n, entry.symbol);
+        (void)view.DescribeSubpath(n);
+      }
+      (void)core::TwigEstimator(&view).TryEstimate(twig,
+                                                   core::Algorithm::kMsh);
+    }
+  }
+  EXPECT_GT(opened, 0u);
+}
+
 // --------------------------------------------------------- store files
 
 TEST(StorageFileTest, TruncatedUnderAnOpenReaderFailsItsPins) {
@@ -722,6 +851,16 @@ TEST(StorageFileTest, OpenRejectsWhatIsNotAStore) {
   EXPECT_NE(stub.message().find("truncated before meta fields"),
             std::string::npos)
       << stub.ToString();
+
+  // A summary in the retired whole-blob format: its magic, then bytes.
+  std::string whole_blob("TWCST02\0", 8);
+  whole_blob.append(1024, '\x01');
+  ASSERT_TRUE(storage::WriteStoreFile(path, whole_blob).ok());
+  const Status old_format = reason(path);
+  EXPECT_EQ(old_format.code(), StatusCode::kCorruption);
+  EXPECT_NE(old_format.message().find(path + ": not a TWCST03 store"),
+            std::string::npos)
+      << old_format.ToString();
   std::remove(path.c_str());
 
   const Status missing = reason(path);
@@ -819,6 +958,34 @@ TEST_F(StorageFailpointTest, PagedCstDegradesUnderInjectedChecksums) {
   util::FailpointRegistry::Get().Reset();
   EXPECT_EQ(paged->PresenceCount(1), memory.PresenceCount(1));
   EXPECT_EQ(paged->storage_health().code(), StatusCode::kCorruption);
+}
+
+TEST_F(StorageFailpointTest, DescribeSubpathSurvivesFailedReads) {
+  // A failed read answers depth 0 and no parent, so a rendering sized
+  // by Depth() and indexed by Depth() - 1 would underflow; the parent
+  // walk renders what it can read.
+  data::DblpOptions gen;
+  gen.target_bytes = 64 * 1024;
+  const cst::Cst memory = BuildFullCst(data::GenerateDblp(gen));
+  cst::CstNodeId deepest = 0;
+  for (cst::CstNodeId node = 0; node < memory.node_count(); ++node) {
+    if (memory.Depth(node) > memory.Depth(deepest)) deepest = node;
+  }
+  ASSERT_GT(memory.Depth(deepest), 2u);
+  for (const char* failpoint : {"storage/read", "storage/checksum"}) {
+    SCOPED_TRACE(failpoint);
+    // A fresh 2-frame pool holds no node page, so the first read fails.
+    auto paged = OpenPaged(memory, 512, 2 * 512);
+    ASSERT_NE(paged, nullptr);
+    ASSERT_TRUE(
+        util::FailpointRegistry::Get().Configure(failpoint, "error").ok());
+    const uint64_t errors_before = paged->storage_error_count();
+    EXPECT_EQ(paged->DescribeSubpath(deepest), "");
+    EXPECT_GT(paged->storage_error_count(), errors_before);
+    util::FailpointRegistry::Get().Reset();
+    EXPECT_EQ(paged->DescribeSubpath(deepest),
+              memory.DescribeSubpath(deepest));
+  }
 }
 
 }  // namespace
