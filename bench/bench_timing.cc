@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <string>
 
 #include "core/estimator.h"
@@ -89,6 +90,47 @@ void BM_BuildPathSuffixTree(benchmark::State& state) {
                           static_cast<int64_t>(kDataBytes));
 }
 BENCHMARK(BM_BuildPathSuffixTree)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// SharedData() with each value behind its own 8-character prefix (an
+/// odd multiple of its ordinal, in hex), so no capped root-to-leaf path
+/// repeats: the worst case for a build that inserts each distinct path
+/// once.
+const tree::Tree& DistinctPathData() {
+  static tree::Tree data = [] {
+    const tree::Tree& source = SharedData();
+    tree::TreeBuilder builder;
+    uint32_t values = 0;
+    auto copy = [&](auto&& self, tree::NodeId n, tree::NodeId parent) -> void {
+      if (source.IsValue(n)) {
+        char prefix[9];
+        std::snprintf(prefix, sizeof(prefix), "%08x", values++ * 2654435761u);
+        builder.AddValue(parent, prefix + std::string(source.Value(n)));
+        return;
+      }
+      const tree::NodeId element =
+          parent == tree::kNullNode
+              ? builder.AddRoot(source.LabelName(n))
+              : builder.AddElement(parent, source.LabelName(n));
+      for (tree::NodeId c : source.Children(n)) self(self, c, element);
+    };
+    copy(copy, source.root(), tree::kNullNode);
+    return std::move(builder).Finish();
+  }();
+  return data;
+}
+
+void BM_BuildPathSuffixTreeDistinctPaths(benchmark::State& state) {
+  const tree::Tree& data = DistinctPathData();
+  for (auto _ : state) {
+    auto pst = suffix::PathSuffixTree::Build(data);
+    benchmark::DoNotOptimize(pst.node_count());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kDataBytes));
+}
+BENCHMARK(BM_BuildPathSuffixTreeDistinctPaths)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

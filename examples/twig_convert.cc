@@ -48,6 +48,14 @@ int main(int argc, char** argv) {
   flags.Size("page-bytes", &options.page_bytes);
   flags.Bool("info", &options.info);
   if (int code = flags.Parse(argc, argv); code >= 0) return code;
+  if (!storage::ValidPageSize(options.page_bytes)) {
+    std::fprintf(stderr,
+                 "twig_convert: --page-bytes must be a power of two in "
+                 "[%zu, %zu]\n",
+                 static_cast<size_t>(storage::kMinPageBytes),
+                 static_cast<size_t>(storage::kMaxPageBytes));
+    return 2;
+  }
   if (options.in_path.empty()) {
     std::fprintf(stderr, "twig_convert: --in is required\n%s", kUsage);
     return 2;

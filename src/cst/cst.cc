@@ -95,7 +95,7 @@ Cst Cst::Build(const Tree& data, const PathSuffixTree& pst,
     Node node;
     node.symbol = pst.GetSymbol(n);
     node.parent = remap[pst.Parent(n)];
-    node.depth = pst.Depth(n);
+    node.depth = cst.nodes_[node.parent].depth + 1;
     node.starts_with_tag = pst.StartsWithTag(n);
     if (node.starts_with_tag) {
       node.signature_index = static_cast<uint32_t>(cst.signatures_.size());
@@ -115,7 +115,7 @@ Cst Cst::Build(const Tree& data, const PathSuffixTree& pst,
   sethash::SetHashFamily family(options.signature_length,
                                 options.signature_seed);
   if (!data.empty() && cst.nodes_.size() > 1) {
-    cst.AccumulateCounts(data, family);
+    cst.AccumulateCounts(data, pst, family);
   }
   return cst;
 }
@@ -145,7 +145,7 @@ struct CountPartial {
 
 }  // namespace
 
-void Cst::AccumulateCounts(const Tree& data,
+void Cst::AccumulateCounts(const Tree& data, const PathSuffixTree& pst,
                            const sethash::SetHashFamily& family) {
   const size_t length = family.length();
   const size_t block_count =
@@ -161,9 +161,10 @@ void Cst::AccumulateCounts(const Tree& data,
     p.ceiling.assign(signatures_.size(), sethash::kEmptyComponent);
   }
 
-  // Counts walk roots [block * kCountBlockRoots, ...) into `worker`'s
-  // partial. Walks read nodes_ and child_index_ and write only the
-  // partial and, through atomic min, the signatures.
+  // Counts walk roots and distinct value prefixes [block *
+  // kCountBlockRoots, ...) into `worker`'s partial. Walks read nodes_
+  // and child_index_ and write only the partial and, through atomic
+  // min, the signatures.
   auto count_block = [&](size_t block, size_t worker) {
     CountPartial& p = partials[worker];
 
@@ -218,27 +219,30 @@ void Cst::AccumulateCounts(const Tree& data,
       }
     };
 
-    const NodeId first = static_cast<NodeId>(block * kCountBlockRoots);
-    const NodeId last = static_cast<NodeId>(
-        std::min(data.size(), (block + 1) * kCountBlockRoots));
-    for (NodeId n = first; n < last; ++n) {
-      if (data.IsValue(n)) {
-        // Character-only subpaths: every (value node, offset) is a
-        // root. Each (start, depth) visit is a distinct instance, so
-        // C_p and C_o increment unconditionally (no markers needed).
-        const std::string_view value = data.Value(n);
-        const size_t take = std::min(value.size(), max_value_chars_);
-        for (size_t start = 0; start < take; ++start) {
-          CstNodeId c = root();
-          for (size_t i = start; i < take; ++i) {
-            c = Step(c, CharSymbol(value[i]));
-            if (c == kNoCstNode) break;
-            ++p.cp[c];
-            ++p.co[c];
-          }
+    // Character-only subpaths: every (value node, offset) is a root,
+    // and each (start, depth) visit is a distinct instance, so C_p and
+    // C_o grow without markers. They depend only on the capped value,
+    // so each distinct prefix is walked once, adding its multiplicity.
+    const size_t first = block * kCountBlockRoots;
+    const size_t last = first + kCountBlockRoots;
+    for (size_t v = first; v < std::min(pst.value_prefix_count(), last);
+         ++v) {
+      const std::string_view prefix = pst.ValuePrefix(v);
+      const uint64_t count = pst.ValuePrefixCount(v);
+      for (size_t start = 0; start < prefix.size(); ++start) {
+        CstNodeId c = root();
+        for (size_t i = start; i < prefix.size(); ++i) {
+          c = Step(c, CharSymbol(prefix[i]));
+          if (c == kNoCstNode) break;
+          p.cp[c] += count;
+          p.co[c] += count;
         }
-        continue;
       }
+    }
+
+    for (NodeId n = static_cast<NodeId>(first); n < std::min(data.size(), last);
+         ++n) {
+      if (data.IsValue(n)) continue;
       // Tag-rooted subpaths: one walk rooted at element node n.
       CstNodeId c0 = Step(root(), TagSymbol(data.Label(n)));
       if (c0 == kNoCstNode) continue;

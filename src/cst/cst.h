@@ -21,7 +21,10 @@
 // work: PathSuffixTree::Build is done once per data set; Cst::Build
 // (threshold selection + counting + signatures) is done once per space
 // budget. Cst::Build's count pass runs on one thread per core; its
-// output does not depend on the thread count (DESIGN.md §17).
+// output does not depend on the thread count (DESIGN.md §17). It walks
+// tag-rooted subpaths from every element, and character-only subpaths
+// once per distinct capped value prefix the PST keeps, adding that
+// prefix's multiplicity.
 
 #ifndef TWIG_CST_CST_H_
 #define TWIG_CST_CST_H_
@@ -74,8 +77,10 @@ class Cst final : public CstView {
                    const CstOptions& options = {});
 
   /// Data nodes per work item of Build's count pass: walk roots
-  /// [k * kCountBlockRoots, (k + 1) * kCountBlockRoots) form block k. A
-  /// tree of one block is counted on the calling thread.
+  /// [k * kCountBlockRoots, (k + 1) * kCountBlockRoots) form block k,
+  /// with the PST's distinct value prefixes of the same indices (there
+  /// are fewer of those than value nodes). A tree of one block is
+  /// counted on the calling thread.
   static constexpr size_t kCountBlockRoots = 1024;
 
   // -- Navigation (CstView) ----------------------------------------------
@@ -184,10 +189,13 @@ class Cst final : public CstView {
 
   /// Stage two: walk the data tree accumulating C_p / C_o / signatures
   /// for the retained nodes, blocks of walk roots spread over a thread
-  /// pool sized to the machine. Each worker counts into its own C_p /
-  /// C_o partials; signatures fold in place by atomic min, skipped when
-  /// the worker's ceiling for the signature shows a fold lowers nothing.
+  /// pool sized to the machine. Character-only subpaths are counted
+  /// from `pst`'s distinct value prefixes, once per prefix. Each worker
+  /// counts into its own C_p / C_o partials; signatures fold in place
+  /// by atomic min, skipped when the worker's ceiling for the signature
+  /// shows a fold lowers nothing.
   void AccumulateCounts(const tree::Tree& data,
+                        const suffix::PathSuffixTree& pst,
                         const sethash::SetHashFamily& family);
 
   std::vector<Node> nodes_;

@@ -11,19 +11,27 @@
 // signatures are attached later, by Cst::Build, only for the retained
 // nodes.
 //
-// Build inserts every suffix of every root-to-leaf path symbol by
-// symbol, so construction is one (node, symbol) -> child lookup per
-// symbol visited (11.8M lookups into 314k nodes for 8 MB of DBLP). The
-// suffixes are split by leading symbol into one part per hardware
-// thread. Each part grows its own trie, and a merge on creation stamps
-// renumbers the parts' nodes into the order one thread inserting every
-// suffix would create them (DESIGN.md §17). The finished tree keeps
-// only what Cst::Build reads; it has no child lookup.
+// The tree depends only on the multiset of capped root-to-leaf paths,
+// and most paths repeat an earlier one (on 8 MB of DBLP, 30k distinct
+// among 211k). So Build first finds the distinct paths, keyed by their
+// tag path and the full capped value prefix, and then inserts every
+// suffix of each distinct path once, adding the path's multiplicity to
+// pt. The suffixes are split by leading symbol into one part per
+// hardware thread. Each part grows its own trie and stamps each node
+// with the insertion that created it; each part then places its own
+// nodes at the IDs one thread inserting every suffix of every path in
+// document order would give them (DESIGN.md §17). The finished tree
+// keeps only what Cst::Build reads, and no child lookup: a 12-byte
+// record a node, plus the distinct capped value prefixes with their
+// multiplicities, from which the count pass takes the
+// character-only subpaths.
 
 #ifndef TWIG_SUFFIX_PATH_SUFFIX_TREE_H_
 #define TWIG_SUFFIX_PATH_SUFFIX_TREE_H_
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "suffix/symbol.h"
@@ -72,7 +80,14 @@ class PathSuffixTree {
 
   Symbol GetSymbol(PstNodeId node) const { return nodes_[node].symbol; }
   PstNodeId Parent(PstNodeId node) const { return nodes_[node].parent; }
-  uint32_t Depth(PstNodeId node) const { return nodes_[node].depth; }
+
+  /// Number of symbols in the node's subpath. The tree stores no depth,
+  /// so this walks up the parents.
+  uint32_t Depth(PstNodeId node) const {
+    uint32_t depth = 0;
+    for (; node != root(); node = nodes_[node].parent) ++depth;
+    return depth;
+  }
 
   /// Total number of root-to-leaf paths inserted.
   uint32_t total_paths() const { return total_paths_; }
@@ -81,19 +96,40 @@ class PathSuffixTree {
   /// options' cap). A CST built from this tree walks the same prefix.
   size_t max_value_chars() const { return max_value_chars_; }
 
+  /// Number of distinct non-empty capped value prefixes: the leading
+  /// max_value_chars() characters of the data tree's value strings.
+  size_t value_prefix_count() const { return prefix_counts_.size(); }
+
+  /// The i-th distinct capped value prefix, in document order of first
+  /// occurrence.
+  std::string_view ValuePrefix(size_t i) const {
+    return std::string_view(prefix_bytes_)
+        .substr(prefix_offsets_[i],
+                prefix_offsets_[i + 1] - prefix_offsets_[i]);
+  }
+
+  /// Number of value nodes whose capped prefix is ValuePrefix(i).
+  uint32_t ValuePrefixCount(size_t i) const { return prefix_counts_[i]; }
+
  private:
+  // The tag flag takes the symbol word's top bit: a tag symbol is 256 +
+  // its label, far below 2^31.
   struct Node {
-    Symbol symbol = 0;
+    Symbol symbol : 31 = 0;
+    uint32_t starts_with_tag : 1 = 0;
     PstNodeId parent = kNoPstNode;
     uint32_t pt = 0;  // path appearance count
-    uint32_t depth : 31 = 0;
-    uint32_t starts_with_tag : 1 = 0;
   };
-  static_assert(sizeof(Node) == 16);
+  static_assert(sizeof(Node) == 12);
 
   std::vector<Node> nodes_;
   uint32_t total_paths_ = 0;
   size_t max_value_chars_ = 0;
+  // The distinct capped value prefixes: prefix i is bytes
+  // [prefix_offsets_[i], prefix_offsets_[i + 1]) of prefix_bytes_.
+  std::string prefix_bytes_;
+  std::vector<uint32_t> prefix_offsets_{0};
+  std::vector<uint32_t> prefix_counts_;
 };
 
 }  // namespace twig::suffix

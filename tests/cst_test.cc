@@ -225,6 +225,36 @@ TEST(CstCountPassTest, MatchesBruteForceRecountAcrossBlocks) {
   }
 }
 
+TEST(CstCountPassTest, RepeatedValuesMatchBruteForceAtEachCap) {
+  // Values drawn from a few strings, some equal up to 8 characters and
+  // different after them, so the count pass walks each distinct capped
+  // prefix once for many value nodes. The tree spans several blocks.
+  const char* const kValues[] = {"Suciu", "Chen", "abcdefgh-one",
+                                 "abcdefgh-two", "abcdefghij", "x", ""};
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("dblp");
+  for (size_t i = 0; b.size() < 3 * Cst::kCountBlockRoots; ++i) {
+    const tree::NodeId record =
+        b.AddElement(root, i % 4 == 0 ? "book" : "article");
+    b.AddValue(b.AddElement(record, "author"), kValues[i % 7]);
+    b.AddValue(b.AddElement(record, "title"), kValues[(i * 3 + 1) % 7]);
+    if (i % 5 == 0) b.AddValue(record, kValues[(i + 2) % 7]);
+  }
+  const Tree data = std::move(b).Finish();
+  for (size_t cap : {8, 16}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    suffix::PathSuffixTreeOptions pst_options;
+    pst_options.max_value_chars = cap;
+    const auto pst = PathSuffixTree::Build(data, pst_options);
+    ASSERT_LT(pst.value_prefix_count(), 8u);
+    CstOptions options;
+    options.prune_threshold = 1;
+    const Cst cst = Cst::Build(data, pst, options);
+    ASSERT_GT(cst.node_count(), 1u);
+    ExpectCountsMatchBruteForce(data, cst, options);
+  }
+}
+
 TEST(CstCountPassTest, RepeatedBuildsSerializeIdentically) {
   const Tree data = testutil::SmallDblp(5);
   const auto pst = PathSuffixTree::Build(data);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
@@ -242,14 +243,34 @@ struct ReferencePst {
   }
 };
 
+/// Requires the tree's value-prefix table to list each non-empty capped
+/// value prefix once, in document order of first occurrence, with the
+/// number of value nodes that have it.
+void ExpectValuePrefixesMatch(const Tree& data, const PathSuffixTree& pst) {
+  std::vector<std::string> order;
+  std::map<std::string, uint32_t> counts;
+  for (tree::NodeId n = 0; n < data.size(); ++n) {
+    if (!data.IsValue(n)) continue;
+    const std::string prefix(data.Value(n).substr(0, pst.max_value_chars()));
+    if (prefix.empty()) continue;
+    if (counts[prefix]++ == 0) order.push_back(prefix);
+  }
+  ASSERT_EQ(pst.value_prefix_count(), order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(pst.ValuePrefix(i), order[i]) << "prefix " << i;
+    EXPECT_EQ(pst.ValuePrefixCount(i), counts[order[i]]) << "prefix " << i;
+  }
+}
+
 /// Builds with `options` and requires node-for-node equality with the
 /// map-keyed reference: same IDs, symbols, parents, depths, pt and
 /// starts_with_tag. Equal parents and symbols for every node make every
-/// edge equal too.
+/// edge equal too. The value-prefix table must match as well.
 void ExpectMatchesReference(const Tree& data,
                             const PathSuffixTreeOptions& options = {}) {
   SCOPED_TRACE("max_value_chars=" + std::to_string(options.max_value_chars));
   const PathSuffixTree pst = PathSuffixTree::Build(data, options);
+  ExpectValuePrefixesMatch(data, pst);
   const ReferencePst ref(data, options);
   ASSERT_EQ(pst.node_count(), ref.nodes.size());
   EXPECT_EQ(pst.total_paths(), ref.total_paths);
@@ -349,6 +370,79 @@ TEST(PathSuffixTreeOracleTest, OneLeadingSymbolCarriesMostOfTheWork) {
     PathSuffixTreeOptions options;
     options.max_value_chars = cap;
     ExpectMatchesReference(data, options);
+  }
+}
+
+TEST(PathSuffixTreeOracleTest, ValuesEqualUpToTheCapCollapse) {
+  // The values agree in their first 8 characters and differ after them,
+  // so at cap 8 their paths are one distinct path and at cap 16 three.
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("r");
+  for (int i = 0; i < 3; ++i) {
+    for (const char* value : {"abcdefgh1", "abcdefgh2", "abcdefgh33"}) {
+      b.AddValue(b.AddElement(root, "v"), value);
+    }
+  }
+  const Tree data = std::move(b).Finish();
+  for (size_t cap : {8, 16}) {
+    PathSuffixTreeOptions options;
+    options.max_value_chars = cap;
+    ExpectMatchesReference(data, options);
+    EXPECT_EQ(PathSuffixTree::Build(data, options).value_prefix_count(),
+              cap == 8 ? 1u : 3u);
+  }
+}
+
+TEST(PathSuffixTreeOracleTest, OneValuePrefixUnderTwoTagPaths) {
+  // "xy" ends the tag paths r.a and r.b: two distinct paths, whose
+  // prefix the value-prefix table lists once, with both value nodes.
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("r");
+  for (int i = 0; i < 4; ++i) {
+    b.AddValue(b.AddElement(root, "a"), "xy");
+    b.AddValue(b.AddElement(root, i % 2 == 0 ? "b" : "a"), "xy");
+  }
+  const Tree data = std::move(b).Finish();
+  ExpectMatchesReference(data);
+  const PathSuffixTree pst = PathSuffixTree::Build(data);
+  ASSERT_EQ(pst.value_prefix_count(), 1u);
+  EXPECT_EQ(pst.ValuePrefixCount(0), 8u);
+}
+
+TEST(PathSuffixTreeOracleTest, CapZeroValuePathEqualsChildlessElementPath) {
+  // At cap 0 the value under r.a is the path r.a, the same path as the
+  // childless r.a that follows it and the empty value under r.a.
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("r");
+  b.AddValue(b.AddElement(root, "a"), "text");
+  b.AddElement(root, "a");
+  b.AddValue(b.AddElement(root, "a"), "");
+  b.AddElement(b.AddElement(root, "c"), "a");
+  const Tree data = std::move(b).Finish();
+  for (size_t cap : {0, 8}) {
+    PathSuffixTreeOptions options;
+    options.max_value_chars = cap;
+    ExpectMatchesReference(data, options);
+  }
+}
+
+TEST(PathSuffixTreeOracleTest, EveryPathDistinct) {
+  // Every value starts with its own 8 characters, so no capped path
+  // repeats and nothing collapses.
+  tree::TreeBuilder b;
+  const tree::NodeId root = b.AddRoot("r");
+  for (int i = 0; i < 500; ++i) {
+    const tree::NodeId record = b.AddElement(root, i % 3 == 0 ? "x" : "y");
+    char prefix[16];
+    std::snprintf(prefix, sizeof(prefix), "%08x", 7919 * i);
+    b.AddValue(b.AddElement(record, "k"), std::string(prefix) + "tail");
+  }
+  const Tree data = std::move(b).Finish();
+  for (size_t cap : {8, 16}) {
+    PathSuffixTreeOptions options;
+    options.max_value_chars = cap;
+    ExpectMatchesReference(data, options);
+    EXPECT_EQ(PathSuffixTree::Build(data, options).value_prefix_count(), 500u);
   }
 }
 
